@@ -10,16 +10,17 @@ estimator; with a word-sized prime a wrong answer needs every trial to hit a
 vanishing minor.  Each trial owns an RNG stream derived from (seed, trial
 index), so trials are independent and reports deterministic.
 
-Rank is exact Gaussian elimination over F_p.  Two kernels: a plain int64
-one for any word-sized prime, and a panel/BLAS float64 one used when
-64*p*p < 2^53 so that products accumulate exactly (worth ~20x on the larger
-interpolation matrices).
+Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
+blocked kernel: int64 panel factorization, float64 BLAS trailing updates.  A
+64-wide panel's products stay exact in float64 with the multipliers as one
+limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +28,13 @@ import numpy as np
 from .core import binomial
 
 DEFAULT_PRIME = (1 << 31) - 1
-# largest prime class eligible for the float64 kernel: 64 * p^2 < 2^53
+# a prime with 64 * p^2 < 2^53, whose rank kernel needs one limb, not two
 FAST_PRIME = 8380417
-_FLOAT_KERNEL_LIMIT = 1 << 23
+_PRIME_LIMIT = 1 << 31
 _PANEL = 64
+# chunks that bound temporaries: trailing-update columns, row-build entries
+_UPDATE_COLS = 256
+_ROW_CHUNK = 1 << 18
 _SAMPLING_ATTEMPTS = 64
 
 
@@ -47,8 +51,8 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise OracleError("need at least one trial")
-        if self.prime < 3 or not _is_probable_prime(self.prime):
-            raise OracleError(f"{self.prime} is not prime")
+        if not 3 <= self.prime < _PRIME_LIMIT or not _is_probable_prime(self.prime):
+            raise OracleError(f"{self.prime} is not a prime below 2^31")
 
 
 @dataclass(frozen=True)
@@ -108,48 +112,44 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def matrix_rank_mod(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    if p < _FLOAT_KERNEL_LIMIT:
-        return _rank_float_panels(a, p)
-    return _rank_int64(a, p)
+    """Rank over F_p of an integer matrix, for a prime p < 2^31."""
+    if not 2 <= p < _PRIME_LIMIT:
+        raise OracleError(f"rank needs a prime below 2^31, got {p}")
+    return _rank_float_panels(a, p) if a.size else 0
 
 
-def _rank_int64(a: np.ndarray, p: int) -> int:
-    m = np.mod(a, p).astype(np.int64)
-    rows, cols = m.shape
-    rank = 0
-    for j in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(m[rank:, j])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, j]), -1, p)
-        m[rank, j:] = m[rank, j:] * inv % p
-        below = m[rank + 1 :, j]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = rank + 1 + nzb
-            m[idx, j:] = (m[idx, j:] - below[nzb, None] * m[rank, j:]) % p
-        rank += 1
-    return rank
+def _matmul_mod(limbs: list[np.ndarray], u: np.ndarray, p: int) -> np.ndarray:
+    """Exact float64 (multipliers @ u) up to multiples of p, below 2^53, for
+    at most _PANEL rows of u with entries in [0, p).
+
+    One limb: the product itself, below 64 p^2 < 2^53.  Two limbs (hi < 2^15,
+    lo < 2^16): each product is below 64 * 2^16 * 2^31 = 2^53 and is reduced
+    before the recombination (hi@u mod p) * 2^16 + (lo@u mod p) < 2^48;
+    adding the unreduced lo@u instead could pass 2^53.
+    """
+    if len(limbs) == 1:
+        return limbs[0] @ u
+    hi, lo = (x @ u for x in limbs)
+    np.remainder(hi, p, out=hi)
+    np.remainder(lo, p, out=lo)
+    hi *= 1 << 16
+    hi += lo
+    return hi
 
 
 def _rank_float_panels(a: np.ndarray, p: int) -> int:
     """Blocked elimination: int64 panel factorization, float64 BLAS trailing
     updates.
 
-    Entries stay in [0, p) with p < 2^23 and multipliers below p, so a panel
-    dot product is at most 64*p^2 < 2^53 and exact in float64.  Multipliers
-    live in the zeroed panel entries (classic LU layout); each panel costs
-    one matmul on the trailing block plus a forward solve for its own pivot
-    rows.
+    Entries stay in [0, p).  Multipliers live in the zeroed panel entries
+    (classic LU layout); each panel costs a forward solve for its own pivot
+    rows plus one limb-split matmul per column chunk of the trailing block,
+    reduced in place.  Panel arithmetic and pivot-row scaling stay in int64,
+    where products of two residues are below 2^62.
     """
-    m = np.mod(a, p).astype(np.float64)
+    two_limbs = _PANEL * p * p >= 1 << 53
+    m = np.empty(a.shape, dtype=np.float64)
+    np.remainder(a, p, out=m)
     rows, cols = m.shape
     rank = 0
     col = 0
@@ -186,16 +186,20 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
                 break
         rank = r0 + nw
         if nw and hi < cols:
-            lower = block[:, piv_cols].astype(np.float64)
+            mult = block[:, piv_cols]
+            parts = (mult >> 16, mult & 0xFFFF) if two_limbs else (mult,)
+            lower = [x.astype(np.float64) for x in parts]
             # pivot rows: subtract earlier panel pivots, then scale
             for t in range(nw):
-                if t:
-                    fvec = lower[t, :t]
-                    if fvec.any():
-                        m[r0 + t, hi:] = (m[r0 + t, hi:] - fvec @ m[r0 : r0 + t, hi:]) % p
-                m[r0 + t, hi:] = m[r0 + t, hi:] * float(invs[t]) % p
-            if nw < nloc:
-                m[rank:, hi:] = (m[rank:, hi:] - lower[nw:] @ m[r0:rank, hi:]) % p
+                row = m[r0 + t, hi:]
+                if t and mult[t, :t].any():
+                    row -= _matmul_mod([x[t, :t] for x in lower], m[r0 : r0 + t, hi:], p)
+                    np.remainder(row, p, out=row)
+                row[:] = row.astype(np.int64) * invs[t] % p
+            for c0 in range(hi, cols, _UPDATE_COLS):
+                seg = m[rank:, c0 : c0 + _UPDATE_COLS]
+                seg -= _matmul_mod([x[nw:] for x in lower], m[r0:rank, c0 : c0 + _UPDATE_COLS], p)
+                np.remainder(seg, p, out=seg)
         col = hi
     return rank
 
@@ -206,21 +210,10 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
 
 def _monomial_exponents(n: int, d: int) -> np.ndarray:
     """Affine exponent vectors e with |e| <= d (the omitted homogenizing
-    variable absorbs d - |e|), in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    e = [0] * n
-
-    def rec(pos: int, budget: int) -> None:
-        if pos == n:
-            out.append(tuple(e))
-            return
-        for v in range(budget + 1):
-            e[pos] = v
-            rec(pos + 1, budget - v)
-        e[pos] = 0
-
-    rec(0, d)
-    return np.array(out, dtype=np.int64).reshape(len(out), n)
+    variable absorbs d - |e|), in lexicographic order.  They are the gaps
+    e_i = c_i - c_(i-1) - 1 of the n-subsets c of range(d + n), in their order."""
+    c = np.array(list(combinations(range(d + n), n)), dtype=np.int64).reshape(-1, n)
+    return np.diff(c, axis=1, prepend=-1) - 1
 
 
 def _falling_factorials(d: int, max_order: int, p: int) -> np.ndarray:
@@ -234,29 +227,39 @@ def _falling_factorials(d: int, max_order: int, p: int) -> np.ndarray:
     return ff
 
 
-def _point_rows(
-    exps: np.ndarray, point: np.ndarray, mult: int, d: int, p: int
+def _conditions_matrix(
+    exps: np.ndarray, points: np.ndarray, mults: Sequence[int], d: int, p: int
 ) -> np.ndarray:
-    """All order-< mult derivative rows of one point."""
-    n = point.shape[0]
-    pows = np.ones((n, d + 1), dtype=np.int64)
+    """Point by point, the rows of the order-< m derivative functionals in
+    lex order of the order beta, on the monomials `exps`; rows with |beta| > d
+    stay zero.  Points of one multiplicity are built in one broadcast over
+    (points x orders x monomials), about _ROW_CHUNK entries at a time."""
+    count, n = points.shape
+    sizes = [binomial(m - 1 + n, n) for m in mults]
+    starts = np.cumsum([0] + sizes[:-1])
+    out = np.zeros((sum(sizes), exps.shape[0]), dtype=np.int64)
+    pows = np.ones((count, n, d + 1), dtype=np.int64)
     for t in range(1, d + 1):
-        pows[:, t] = pows[:, t - 1] * point % p
-    ff = _falling_factorials(d, min(mult - 1, d), p)
-    betas = _monomial_exponents(n, mult - 1)
-    rows = np.zeros((betas.shape[0], exps.shape[0]), dtype=np.int64)
-    for r, beta in enumerate(betas):
-        if int(beta.sum()) > d:
-            continue  # derivative order exceeds the degree: identically zero row
-        row = np.ones(exps.shape[0], dtype=np.int64)
+        pows[:, :, t] = pows[:, :, t - 1] * points % p
+    ff = _falling_factorials(d, min(max(mults) - 1, d), p)
+    for m in sorted(set(mults)):
+        betas = _monomial_exponents(n, m - 1)
+        kept = np.flatnonzero(betas.sum(axis=1) <= d)
+        betas = betas[kept]
+        # prod_j ff[beta_j, e_j]: zero wherever an exponent is below the order
+        coef = np.ones((kept.size, exps.shape[0]), dtype=np.int64)
         for j in range(n):
-            bj = int(beta[j])
-            ej = exps[:, j]
-            if bj:
-                row = row * ff[bj][ej] % p  # 0 whenever the exponent is below the order
-            row = row * pows[j][np.maximum(ej - bj, 0)] % p
-        rows[r] = row
-    return rows
+            coef = coef * ff[betas[:, j]][:, exps[:, j]] % p
+        group = np.flatnonzero(np.array(mults) == m)
+        step = max(1, _ROW_CHUNK // coef.size)
+        for c in range(0, group.size, step):
+            sel = group[c : c + step]
+            vals = np.tile(coef, (sel.size, 1, 1))
+            for j in range(n):
+                vals *= pows[sel, j][:, np.maximum(exps[:, j] - betas[:, j, None], 0)]
+                vals %= p
+            out[(starts[sel, None] + kept).ravel()] = vals.reshape(-1, exps.shape[0])
+    return out
 
 
 def _sample_points(rng: np.random.Generator, n: int, count: int, p: int) -> np.ndarray:
@@ -302,11 +305,7 @@ def linear_system_dim(
             dims.append(cols)
             continue
         points = _sample_points(rng, n, len(active), config.prime)
-        blocks = [
-            _point_rows(exps, points[i], active[i], d, config.prime)
-            for i in range(len(active))
-        ]
-        matrix = np.vstack(blocks)
+        matrix = _conditions_matrix(exps, points, active, d, config.prime)
         rank = matrix_rank_mod(matrix, config.prime)
         dims.append(cols - rank)
     return OracleReport(

@@ -142,6 +142,17 @@ def test_oracle_dim_and_alpha(monkeypatch):
     assert code == 70
 
 
+def test_oracle_rejects_primes_above_2_31():
+    for argv in (
+        ["oracle-dim", "--n", "2", "--degree", "4", "--mults", "2:5", "--prime", "4294967311"],
+        ["alpha", "--n", "2", "--points", "5", "--power", "2", "--prime", "2305843009213693951"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 70
+        assert out == ""
+        assert json.loads(err)["kind"] == "OracleError"
+
+
 def test_sweep_csv():
     code, out, _ = invoke(["sweep", "--n", "4", "--from", "8", "--to", "12", "--check", "hh"])
     assert code == 0

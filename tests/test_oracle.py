@@ -1,17 +1,18 @@
 """Monte Carlo dimension oracle: classical systems, rank kernels, configs."""
 
-from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fatpoints.core import expected_dimension
 from fatpoints.oracle import (
+    DEFAULT_PRIME,
     FAST_PRIME,
     OracleConfig,
     OracleError,
-    _rank_float_panels,
-    _rank_int64,
+    _conditions_matrix,
+    _monomial_exponents,
     alpha_symbolic_power,
     linear_system_dim,
     matrix_rank_mod,
@@ -21,6 +22,8 @@ from helpers import sysb
 
 CFG = OracleConfig(seed=11)
 FAST = OracleConfig(prime=FAST_PRIME, seed=11)
+# one-limb prime, and two two-limb primes just below 2^31
+RANK_PRIMES = (FAST_PRIME, DEFAULT_PRIME, 2147483629)
 
 
 def test_classical_plane_systems():
@@ -113,18 +116,121 @@ def test_config_validation():
         linear_system_dim(2, 2, [1, -2], CFG)
 
 
+def test_primes_beyond_the_kernel_are_rejected():
+    assert OracleConfig(prime=DEFAULT_PRIME).prime == (1 << 31) - 1
+    for prime in (4294967311, 2305843009213693951):  # primes above 2^31
+        with pytest.raises(OracleError, match="2\\^31"):
+            OracleConfig(prime=prime)
+    with pytest.raises(OracleError):
+        matrix_rank_mod(np.eye(3, dtype=np.int64), 4294967311)
+
+
+def reference_rank(a, p):
+    """Gaussian elimination on Python ints mod p."""
+    rows = [[int(x) % p for x in row] for row in a.tolist()]
+    rank = 0
+    for j in range(a.shape[1]):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        prow = [x * inv % p for x in rows[rank]]
+        rows[rank] = prow
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+def random_low_rank(rng, rows, cols, inner, p):
+    left = rng.integers(0, p, size=(rows, inner)).astype(object)
+    right = rng.integers(0, p, size=(inner, cols)).astype(object)
+    return (left @ right % p).astype(np.int64)
+
+
 def test_rank_kernels_agree():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        rows = int(rng.integers(3, 90))
-        cols = int(rng.integers(3, 90))
-        inner = int(rng.integers(1, min(rows, cols) + 1))
-        a = (
-            rng.integers(0, FAST_PRIME, size=(rows, inner))
-            @ rng.integers(0, FAST_PRIME, size=(inner, cols))
-            % FAST_PRIME
+    for p in RANK_PRIMES:
+        for _ in range(8):
+            rows = int(rng.integers(3, 140))
+            cols = int(rng.integers(3, 140))
+            inner = int(rng.integers(1, min(rows, cols) + 1))
+            a = random_low_rank(rng, rows, cols, inner, p)
+            assert matrix_rank_mod(a, p) == reference_rank(a, p) <= inner
+        # several panels with pivots and several trailing-update column chunks
+        a = random_low_rank(rng, 110, 600, 90, p)
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 90
+
+
+def test_rank_at_the_float64_exactness_bound():
+    # 64 identity pivot rows over entries p - 1, then rows whose 64 panel
+    # multipliers all have low limb 2^16 - 1: every low-limb panel product is
+    # 64 * (2^16 - 1) * (p - 1), just below 2^53 for the two-limb primes
+    rng = np.random.default_rng(8)
+    for p in RANK_PRIMES:
+        extra_rows, extra_cols = 16, 400
+        top = np.hstack(
+            [np.eye(64, dtype=np.int64), np.full((64, extra_cols), p - 1, dtype=np.int64)]
         )
-        assert _rank_int64(a, FAST_PRIME) == _rank_float_panels(a, FAST_PRIME) <= inner
+        mults = (rng.integers(0, p >> 16, size=(extra_rows, 64)) << 16) | 0xFFFF
+        mults[0, :] = ((p >> 16) << 16) - 1  # the largest such multiplier below p
+        assert (mults < p).all()
+        # the trailing rows equal their eliminated value: rank stays 64
+        tail = (mults.astype(object) @ top[:, 64:].astype(object) % p).astype(np.int64)
+        a = np.vstack([top, np.hstack([mults, tail])])
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 64
+        # a random tail leaves a full-rank residual
+        a[64:, 64:] = rng.integers(0, p, size=(extra_rows, extra_cols))
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 64 + extra_rows
+
+
+def reference_point_rows(point, mult, d, p):
+    """Order-< mult derivative rows of one point, one entry at a time."""
+    n = len(point)
+    monomials = [e for e in product(range(d + 1), repeat=n) if sum(e) <= d]
+    orders = [b for b in product(range(mult), repeat=n) if sum(b) <= mult - 1]
+    rows = []
+    for beta in orders:
+        row = []
+        for e in monomials:
+            value = 0
+            if sum(beta) <= d and all(ej >= bj for ej, bj in zip(e, beta)):
+                value = 1
+                for x, ej, bj in zip(point, e, beta):
+                    for k in range(bj):
+                        value *= ej - k
+                    value *= pow(x, ej - bj, p)
+            row.append(value % p)
+        rows.append(row)
+    return rows, monomials
+
+
+def test_conditions_matrix_matches_per_point_rows():
+    rng = np.random.default_rng(17)
+    cases = [
+        (2, 0, [1, 3, 2]),  # d = 0: only the value rows survive
+        (3, 2, [4, 1]),  # m - 1 > d: zero rows for the higher orders
+        (2, 4, [2, 1, 2, 3, 1]),  # mixed, interleaved multiplicities
+    ]
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        d = int(rng.integers(0, 6))
+        count = int(rng.integers(1, 6))
+        cases.append((n, d, [int(rng.integers(1, 5)) for _ in range(count)]))
+    for n, d, mults in cases:
+        p = DEFAULT_PRIME
+        points = rng.integers(0, p, size=(len(mults), n))
+        expected = []
+        for point, mult in zip(points.tolist(), mults):
+            rows, monomials = reference_point_rows(point, mult, d, p)
+            expected.extend(rows)
+        exps = _monomial_exponents(n, d)
+        assert exps.tolist() == [list(e) for e in monomials]
+        got = _conditions_matrix(exps, points, mults, d, p)
+        assert got.tolist() == expected, (n, d, mults)
 
 
 def test_rank_of_structured_matrices():
