@@ -124,7 +124,14 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.cert) as fh:
             text = fh.read()
-    result = verify_certificate(certificate_from_json(text))
+    try:
+        cert = certificate_from_json(text)
+    except (ReductionError, ValueError, KeyError, TypeError, AttributeError, IndexError,
+            RecursionError) as exc:
+        reason = f"malformed certificate: {type(exc).__name__}: {exc}"
+        _emit({"ok": False, "failed_step": None, "reason": reason})
+        return EX_FALSE
+    result = verify_certificate(cert)
     _emit({"ok": result.ok, "failed_step": result.failed_step, "reason": result.reason})
     return EX_OK if result.ok else EX_FALSE
 
@@ -276,3 +283,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -52,18 +52,9 @@ class AffineValue:
     def scaled(self, c: int) -> "AffineValue":
         return AffineValue(c * self.slope, c * self.intercept)
 
-    def is_zero(self) -> bool:
-        return self.slope == 0 and self.intercept == 0
-
     def key(self) -> tuple[int, int]:
         """Sort key realizing the eventual (large-m) order."""
         return (self.slope, self.intercept)
-
-    def eventually_ge(self, other: "AffineValue") -> bool:
-        return self.key() >= other.key()
-
-    def eventual_sign(self) -> EventualSign:
-        return eventual_sign(self)
 
     def __str__(self) -> str:
         s, i = self.slope, self.intercept
@@ -88,10 +79,6 @@ AffineLike = Union[AffineValue, int, tuple]
 
 ZERO = AffineValue(0, 0)
 ONE = AffineValue(0, 1)
-
-
-def affine_add(a: AffineValue, b: AffineValue) -> AffineValue:
-    return a + b
 
 
 def eventual_sign(v: AffineValue) -> EventualSign:

@@ -1,21 +1,34 @@
 """Ground-truth dimensions of concrete fat-point systems at random points
 over a large prime field.
 
-A trial samples distinct points in the affine chart (last coordinate 1),
-builds the conditions matrix whose rows are the partial-derivative
-functionals of order < m_i at point i acting on the degree-d monomial
-coefficients, and reports C(d+n,n) - rank.  Random points can only be more
-special than generic ones, so the minimum over trials is the right
+A trial reports the dimension of the degree-d forms vanishing to order m_i
+at s points: the monomial columns that survive the frame, minus the rank of
+the conditions matrix of the remaining points.  Random points can only be
+more special than generic ones, so the minimum over trials is the right
 estimator; with a word-sized prime a wrong answer needs every trial to hit a
 vanishing minor.  Each trial owns an RNG stream derived from (seed, trial
 index), so trials are independent and reports deterministic.
+
+Frame: any n+1 general points can be moved onto the coordinate points, and
+the dimension does not change under a linear change of coordinates, so the
+n+1 largest multiplicities sit there.  In the affine chart of the monomials
+(last coordinate 1), e_0..e_(n-1) lie at infinity and e_n is the origin.  A
+form vanishes to order m at e_i (i < n) exactly when each of its monomials
+has e_i <= d - m, and at the origin when each has |e| >= m.  Frame points
+therefore delete columns and add no rows; only the other points are sampled
+(distinct, in the chart, never the origin) and give rows: the
+partial-derivative functionals of order < m_i at point i acting on the
+surviving monomial coefficients.
+
+Alpha floors: `alpha_symbolic_power` records the alphas it finds and starts
+the scan for s at the largest alpha recorded for a smaller s at the same
+(n, m, config); see its docstring for why this leaves the result unchanged.
 
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
 blocked kernel: int64 panel factorization, float64 BLAS trailing updates.  A
 64-wide panel's products stay exact in float64 with the multipliers as one
 limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -264,7 +277,7 @@ def _conditions_matrix(
 
 def _sample_points(rng: np.random.Generator, n: int, count: int, p: int) -> np.ndarray:
     points: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = {(0,) * n}  # the origin belongs to the frame
     for _ in range(_SAMPLING_ATTEMPTS * max(count, 1)):
         if len(points) == count:
             break
@@ -295,19 +308,23 @@ def linear_system_dim(
             f"prime {config.prime} must exceed the degree {d} for derivative "
             "conditions to capture multiplicity"
         )
-    active = [int(m) for m in mults if m > 0]
-    cols = binomial(d + n, n)
+    # the heaviest n+1 points go to the frame: e_0..e_(n-1), then the origin
+    active = sorted((int(m) for m in mults if m > 0), reverse=True)
+    frame, rest = active[: n + 1], active[n + 1 :]
     exps = _monomial_exponents(n, d)
+    keep = np.ones(exps.shape[0], dtype=bool)
+    for i, m in enumerate(frame):
+        keep &= exps[:, i] <= d - m if i < n else exps.sum(axis=1) >= m
+    exps = exps[keep]
     dims: list[int] = []
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed % (1 << 64), trial])
-        if not active:
-            dims.append(cols)
-            continue
-        points = _sample_points(rng, n, len(active), config.prime)
-        matrix = _conditions_matrix(exps, points, active, d, config.prime)
-        rank = matrix_rank_mod(matrix, config.prime)
-        dims.append(cols - rank)
+        rank = 0
+        if rest and exps.size:
+            points = _sample_points(rng, n, len(rest), config.prime)
+            matrix = _conditions_matrix(exps, points, rest, d, config.prime)
+            rank = matrix_rank_mod(matrix, config.prime)
+        dims.append(exps.shape[0] - rank)
     return OracleReport(
         n=n,
         degree=d,
@@ -320,19 +337,42 @@ def linear_system_dim(
     )
 
 
+# alphas found so far, (n, m, config) -> {s: alpha}, kept as scan floors for
+# larger s; bounded, the least recently used key and the oldest entry go first
+_FLOOR_KEYS = 64
+_FLOOR_ENTRIES = 256
+_alpha_floors: dict[tuple[int, int, OracleConfig], dict[int, int]] = {}
+
+
+def clear_alpha_floors() -> None:
+    """Forget every recorded alpha, so that each scan starts from m again."""
+    _alpha_floors.clear()
+
+
 def alpha_symbolic_power(
     n: int, s: int, m: int, config: OracleConfig | None = None
 ) -> int:
     """Least degree d with a nonzero form of multiplicity m at s random points.
 
-    Searches upward from d = m.  When the virtual dimension
+    Searches upward from d = m, or from the largest alpha recorded for any
+    s' < s at the same (n, m, config).  When the virtual dimension
     C(d+n,n) - s*C(m+n-1,n) is positive the system is nonzero without any
     rank computation (dimension >= columns - rows); only candidate degrees
     below that point need the matrix.  Each candidate is probed with a single
     trial first: a zero dimension there already equals the min over all
     trials, so only positive probes need confirmation with the full trial
-    count.  The result is identical to scanning with the full count
+    count.  The result is identical to scanning from m with the full count
     throughout.
+
+    Why the floor is exact: within one (seed, trial) the s-point
+    configuration is a prefix of the (s+1)-point one.  The frame fills first,
+    since all multiplicities are equal, and the random points are drawn one
+    at a time from the same stream.  So each trial's dimension at s+1 is at
+    most its dimension at s, a zero probe or zero minimum at s' stays zero at
+    s, and the virtual-dimension shortcut only gets weaker as s grows: the
+    scan for s cannot stop below alpha(s').  Only other s values are used, so
+    a repeated query redoes its work; the cost depends on earlier calls, the
+    result does not.
     """
     if s < 1 or m < 1:
         raise ValueError("need s >= 1 and m >= 1")
@@ -343,14 +383,22 @@ def alpha_symbolic_power(
         else OracleConfig(prime=config.prime, trials=1, seed=config.seed)
     )
     conditions = s * binomial(m + n - 1, n)
-    d = m
-    while True:
-        if binomial(d + n, n) - conditions > 0:
-            return d
-        if linear_system_dim(n, d, [m] * s, probe).dimension > 0:
-            if probe is config or linear_system_dim(n, d, [m] * s, config).dimension > 0:
-                return d
+    found = _alpha_floors.pop((n, m, config), {})
+    d = max([m, *(alpha for t, alpha in found.items() if t < s)])
+    while binomial(d + n, n) - conditions <= 0:
+        if linear_system_dim(n, d, [m] * s, probe).dimension > 0 and (
+            probe is config or linear_system_dim(n, d, [m] * s, config).dimension > 0
+        ):
+            break
         d += 1
+    found.pop(s, None)
+    found[s] = d
+    if len(found) > _FLOOR_ENTRIES:
+        del found[next(iter(found))]
+    _alpha_floors[n, m, config] = found
+    if len(_alpha_floors) > _FLOOR_KEYS:
+        del _alpha_floors[next(iter(_alpha_floors))]
+    return d
 
 
 def waldschmidt_upper_estimate(

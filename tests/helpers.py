@@ -3,6 +3,7 @@
 from collections import Counter
 
 from fatpoints.core import AffineValue, FatPointSystem
+from fatpoints.facts import catalog
 
 
 def sysb(n, degree, *runs) -> FatPointSystem:
@@ -20,3 +21,22 @@ def pivot_matching(sys: FatPointSystem, values) -> list[int]:
     missing = {str(v): c for v, c in wanted.items() if c}
     assert not missing, f"values not present in {sys}: {missing}"
     return pivot
+
+
+def shipped_certificates() -> list:
+    """Every certificate of the catalogs for n = 4..10, with the ones they
+    merge, each once."""
+    seen = []
+
+    def walk(cert):
+        if cert in seen:
+            return
+        seen.append(cert)
+        for step in cert.steps:
+            for ref in step.refs:
+                walk(ref)
+
+    for n in range(4, 11):
+        for fact in catalog(n):
+            walk(fact.certificate)
+    return seen

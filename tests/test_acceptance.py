@@ -21,7 +21,6 @@ from fatpoints.core import AffineValue, FatPointSystem, binomial, cremona_k, piv
 from fatpoints.facts import (
     aux_multiplier,
     block_points_certificate,
-    catalog,
     fact_from_certificate,
     mixed_points_p5,
     n_plus_four_points,
@@ -44,6 +43,7 @@ from fatpoints.reduction import (
     prove_empty,
     verify_certificate,
 )
+from helpers import shipped_certificates as _shipped_certificates
 from helpers import sysb
 
 F = Fraction
@@ -229,23 +229,6 @@ def test_criterion_5_chudnovsky_sweep():
         if not _sweep_all_true(n, n + 4, stop, "chudnovsky"):
             failures.append(f"chudnovsky sweep has a false verdict at n={n}")
     _finish(5, "initial-degree criterion true on the grid plus n=2,3", started, 30.0, failures)
-
-
-def _shipped_certificates():
-    seen = []
-
-    def walk(cert):
-        if cert in seen:
-            return
-        seen.append(cert)
-        for step in cert.steps:
-            for ref in step.refs:
-                walk(ref)
-
-    for n in range(4, 11):
-        for fact in catalog(n):
-            walk(fact.certificate)
-    return seen
 
 
 def _entries(claim: FatPointSystem, m: int) -> int:

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import fatpoints
 from fatpoints.cli import run
 
 
@@ -58,6 +63,45 @@ def test_verify_rejects_tampered_file(tmp_path):
     code, vout, _ = invoke(["verify", "--cert", str(path)])
     assert code == 1
     assert json.loads(vout)["failed_step"] == 1
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ('{"version": 1}', "KeyError"),
+        ("{}", "ReductionError"),
+        ("[]", "AttributeError"),
+        ("not json", "JSONDecodeError"),
+        ('{"version": 1, "claim": {"N": 4, "degree": [8], "mults": []}}', "IndexError"),
+        ('{"version": 1, "claim": {"N": 4, "degree": [8, -1], "mults": 5}}', "TypeError"),
+    ],
+)
+def test_verify_reports_malformed_certificates(text, kind):
+    code, out, err = invoke_stdin(["verify", "--cert", "-"], text)
+    assert code == 1
+    assert err == ""
+    data = json.loads(out)
+    assert data["ok"] is False and data["failed_step"] is None
+    assert data["reason"].startswith(f"malformed certificate: {kind}: ")
+
+
+def test_module_entry_point_exits_with_the_verdict(tmp_path):
+    _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
+    doc = json.loads(out)
+    doc["claim"]["mults"][0][1] += 1  # the chain no longer starts from the claim
+    env = dict(os.environ, PYTHONPATH=str(Path(fatpoints.__file__).parents[1]))
+    for text, code in ((out, 0), (json.dumps(doc), 1)):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "fatpoints.cli", "verify", "--cert", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stdout == '{"failed_step":null,"ok":true,"reason":null}\n'
+        else:
+            assert json.loads(done.stdout)["ok"] is False
 
 
 def test_prove_empty_failure_exit_code():

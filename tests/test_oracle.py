@@ -1,10 +1,12 @@
 """Monte Carlo dimension oracle: classical systems, rank kernels, configs."""
 
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
+from fatpoints import oracle
 from fatpoints.core import expected_dimension
 from fatpoints.oracle import (
     DEFAULT_PRIME,
@@ -14,6 +16,7 @@ from fatpoints.oracle import (
     _conditions_matrix,
     _monomial_exponents,
     alpha_symbolic_power,
+    clear_alpha_floors,
     linear_system_dim,
     matrix_rank_mod,
     waldschmidt_upper_estimate,
@@ -261,3 +264,116 @@ def test_certified_claims_vanish_at_small_parameters():
                 str(system),
                 m,
             )
+
+
+def framefree_dims(n, d, mults, config):
+    """Per-trial dimensions with every point sampled at random: the rows of
+    all points over all monomials, and their rank."""
+    active = [m for m in mults if m > 0]
+    exps = _monomial_exponents(n, d)
+    dims = []
+    for trial in range(config.trials):
+        rng = np.random.default_rng([config.seed, trial])
+        rank = 0
+        if active:
+            points = rng.integers(0, config.prime, size=(len(active), n))
+            matrix = _conditions_matrix(exps, points, active, d, config.prime)
+            rank = matrix_rank_mod(matrix, config.prime)
+        dims.append(exps.shape[0] - rank)
+    return tuple(dims)
+
+
+def test_frame_matches_a_framefree_reference(monkeypatch):
+    sampled = []
+
+    def spy(exps, points, mults, d, p):
+        sampled.append(list(mults))
+        return _conditions_matrix(exps, points, mults, d, p)
+
+    monkeypatch.setattr(oracle, "_conditions_matrix", spy)
+    cases = [
+        (3, 4, [2, 1]),  # fewer than n+1 points: no random point at all
+        (2, 3, [1, 5, 1, 2]),  # m > d: no column survives
+        (2, 4, [3, 3, 2, 1, 1, 1]),  # overlapping frame supports, 3 + 3 > 4
+        (2, 2, [2, 2, 2]),  # e_0, e_1 <= 0 and |e| >= 2: no surviving column
+        (3, 3, [0, 2, 0, 1, 1, 1, 1, 0]),  # zero multiplicities
+        (2, 6, [1, 3, 1, 2, 3, 1, 2]),  # mixed: the frame takes 3, 3, 2
+        (3, 5, [1, 1, 1, 1, 1, 3, 2]),  # mixed: the frame takes 3, 2, 1, 1
+        (5, 3, [1] * 9),
+    ]
+    rng = np.random.default_rng(23)
+    max_degree = {2: 9, 3: 6, 4: 5, 5: 4}
+    for _ in range(24):
+        n = int(rng.integers(2, 6))
+        count = int(rng.integers(0, n + 6))
+        d = int(rng.integers(0, max_degree[n] + 1))
+        cases.append((n, d, [int(rng.integers(0, 6)) for _ in range(count)]))
+    for i, (n, d, mults) in enumerate(cases):
+        for prime in (FAST_PRIME, DEFAULT_PRIME):
+            config = OracleConfig(prime=prime, trials=2, seed=i)
+            sampled.clear()
+            report = linear_system_dim(n, d, mults, config)
+            assert report.dims == framefree_dims(n, d, mults, config), (n, d, mults)
+            # only the points after the n+1 heaviest get rows
+            rest = sorted((m for m in mults if m > 0), reverse=True)[n + 1 :]
+            assert all(got == rest for got in sampled), (n, d, mults, sampled)
+
+
+def scan_calls(monkeypatch):
+    """Count the linear_system_dim calls the alpha scan makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:3])
+        return linear_system_dim(*args)
+
+    monkeypatch.setattr(oracle, "linear_system_dim", counted)
+    return calls
+
+
+def test_alpha_floors_match_a_floorfree_scan(monkeypatch):
+    calls = scan_calls(monkeypatch)
+    configs = (OracleConfig(prime=FAST_PRIME, trials=3, seed=77), OracleConfig(trials=2, seed=5))
+    queries = [(cfg, n, s, m) for cfg in configs for n in (2, 3)
+               for m in (1, 2, 3) for s in range(1, 13)]
+    expected, floorfree_calls = {}, {}
+    for q in queries:
+        clear_alpha_floors()
+        calls.clear()
+        expected[q] = alpha_symbolic_power(q[1], q[2], q[3], q[0])
+        floorfree_calls[q] = len(calls)
+    shuffled = list(queries)
+    random.Random(4).shuffle(shuffled)
+    for order in (queries, queries[::-1], shuffled):
+        clear_alpha_floors()
+        for cfg, n, s, m in order:
+            assert alpha_symbolic_power(n, s, m, cfg) == expected[cfg, n, s, m]
+    # with every alpha recorded, a query starts from a smaller s's alpha...
+    saved = 0
+    for q in queries:
+        calls.clear()
+        alpha_symbolic_power(q[1], q[2], q[3], q[0])
+        assert len(calls) <= floorfree_calls[q]
+        saved += floorfree_calls[q] - len(calls)
+    assert saved > 0
+    # ...but never from its own: a repeated query redoes its work
+    for q in queries:
+        clear_alpha_floors()
+        for _ in range(2):
+            calls.clear()
+            alpha_symbolic_power(q[1], q[2], q[3], q[0])
+            assert len(calls) == floorfree_calls[q]
+
+
+def test_alpha_floor_record_stays_bounded(monkeypatch):
+    clear_alpha_floors()
+    for seed in range(oracle._FLOOR_KEYS + 5):
+        alpha_symbolic_power(2, 1, 1, OracleConfig(prime=FAST_PRIME, trials=1, seed=seed))
+    assert len(oracle._alpha_floors) == oracle._FLOOR_KEYS
+    config = OracleConfig(prime=FAST_PRIME, trials=1, seed=0)
+    for s in range(1, oracle._FLOOR_ENTRIES + 20):
+        alpha_symbolic_power(2, s, 1, config)
+    assert len(oracle._alpha_floors) == oracle._FLOOR_KEYS
+    assert max(len(found) for found in oracle._alpha_floors.values()) == oracle._FLOOR_ENTRIES
+    clear_alpha_floors()
+    assert not oracle._alpha_floors
