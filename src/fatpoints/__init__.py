@@ -42,12 +42,27 @@ from .bounds import (
     replay_proof_tree,
     waldschmidt_lower_bound,
 )
-from .oracle import (
-    OracleConfig,
-    OracleReport,
-    alpha_symbolic_power,
-    linear_system_dim,
-    waldschmidt_upper_estimate,
-)
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy, which the symbolic commands never use; its names
+# are loaded on first access (PEP 562) and then kept in the module globals.
+_ORACLE_NAMES = (
+    "OracleConfig",
+    "OracleReport",
+    "alpha_symbolic_power",
+    "linear_system_dim",
+    "waldschmidt_upper_estimate",
+)
+
+# a star import gives the same names as when the oracle was imported eagerly
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_ORACLE_NAMES)
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value

@@ -15,13 +15,20 @@ The engine evaluates every applicable rule and keeps the maximum:
 
 Every returned bound carries a derivation tree; `replay_proof_tree`
 re-evaluates a tree from scratch, independently of the search.
+
+Most candidates do not depend on s: the small-count values, the certified
+facts with the point count each applies from, and each decompose level's
+value and premises.  They sit in a per-n candidate table, built once per
+catalog(n) (decompose levels when a point count first reaches them).  For
+each s the engine compares values only and builds the derivation tree of
+the winner alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Sequence
 
 from .core import binomial
@@ -156,96 +163,142 @@ def _monotone(s: int, s0: int, inner: ProofTree) -> ProofTree:
     return ProofTree(RULE_MONOTONE, inner.value, params=(("s", s), ("s0", s0)), premises=(inner,))
 
 
-@lru_cache(maxsize=None)
-def waldschmidt_lower_bound(n: int, s: int) -> BoundFact:
-    """Best derivable lower bound for s generic simple points in P^n."""
-    _validate(n, s)
-    candidates: list[ProofTree] = [
-        ProofTree(RULE_TRIVIAL, Fraction(1), params=(("n", n), ("s", s)))
-    ]
+class _CandidateTable:
+    """The candidates for s points in P^n whose value does not depend on s.
 
-    cases = [("n+1", n + 1), ("n+2", n + 2)]
-    cases.append(("n+3-even" if n % 2 == 0 else "n+3-odd", n + 3))
-    for case, s0 in cases:
-        if s >= s0:
+    `small_counts` and `certified` hold (s0, value, tree): each applies from
+    s0 points on, by monotonicity over `tree`.  Decompose levels are built
+    the first time a point count reaches them, since their premises are
+    bounds one dimension down.
+    """
+
+    def __init__(self, n: int, facts: tuple[WaldschmidtFact, ...]) -> None:
+        self.n = n
+        self.facts = facts
+        cases = [("n+1", n + 1), ("n+2", n + 2)]
+        cases.append(("n+3-even" if n % 2 == 0 else "n+3-odd", n + 3))
+        self.small_counts = []
+        for case, s0 in cases:
+            value = _small_count_value(n, case)
             inner = ProofTree(
-                RULE_SMALL_COUNT,
-                _small_count_value(n, case),
-                params=(("n", n), ("s", s0), ("case", case)),
+                RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case))
             )
-            candidates.append(_monotone(s, s0, inner))
+            self.small_counts.append((s0, value, inner))
 
-    k = _floor_nth_root(s, n)
-    if k >= 2:
-        candidates.append(
-            ProofTree(
-                RULE_ROOT_COUNT, Fraction(k), params=(("n", n), ("s", s), ("scale", k))
-            )
-        )
-
-    for fact in catalog(n):
-        tree = _certified_tree(fact)
-        if fact.profile.is_simple:
-            s0 = fact.profile.npoints
-            if s >= s0:
-                candidates.append(_monotone(s, s0, tree))
-        else:
+        self.certified = []
+        for fact in facts:
+            tree = _certified_tree(fact)
+            if fact.profile.is_simple:
+                self.certified.append((fact.profile.npoints, fact.bound, tree))
+                continue
             pair = fact.profile.doubles_and_singles()
             if pair is not None:
                 b, c = pair
                 s0 = b * 2**n + c
-                if s >= s0:
-                    lifted = ProofTree(
-                        RULE_UNIT_TO_DOUBLE,
-                        fact.bound,
-                        params=(("n", n), ("s0", s0), ("doubles", b), ("singles", c)),
-                        premises=(tree,),
-                    )
-                    candidates.append(_monotone(s, s0, lifted))
+                lifted = ProofTree(
+                    RULE_UNIT_TO_DOUBLE,
+                    fact.bound,
+                    params=(("n", n), ("s0", s0), ("doubles", b), ("singles", c)),
+                    premises=(tree,),
+                )
+                self.certified.append((s0, fact.bound, lifted))
+
+        # level l splits C(n+l, n) + 1 points as r1 + r2 across a hyperplane
+        self._level_sizes = [(level, binomial(n + level, n) + 1) for level in range(2, n - 1)]
+        self._levels: dict[int, tuple[Fraction, tuple, tuple] | None] = {}
+
+    def decompose_levels(self, s: int):
+        """(value, params after n and s, premises) of each decompose level
+        that applies to s points and has a first part worth more than 1."""
+        for level, size in self._level_sizes:
+            if s < size:
+                return
+            if level not in self._levels:
+                self._levels[level] = _decompose_level(self.n, level)
+            if self._levels[level] is not None:
+                yield self._levels[level]
+
+
+def _decompose_level(n: int, level: int) -> tuple[Fraction, tuple, tuple] | None:
+    r1 = binomial(n - 1 + level, n - 1) + 1
+    r2 = binomial(n - 1 + level, n)
+    f1 = waldschmidt_lower_bound(n - 1, r1)
+    f2 = waldschmidt_lower_bound(n - 1, r2)
+    a1 = min(f1.bound, Fraction(2))
+    a2 = min(f2.bound, Fraction(2))
+    if a1 <= 1:
+        return None
+    params = (
+        ("k", 1),
+        ("r", (r1, r2)),
+        ("a", ((a1.numerator, a1.denominator), (a2.numerator, a2.denominator))),
+        ("scope", DECOMPOSE_SCOPE),
+    )
+    return (1 - 1 / a1) * a2 + 1, params, (f1.derivation, f2.derivation)
+
+
+_tables: dict[int, _CandidateTable] = {}
+
+
+def _candidate_table(n: int) -> _CandidateTable:
+    # rebuilt whenever catalog(n) is, so clearing the catalog cache also
+    # clears the table and the bounds its decompose premises hold
+    facts = catalog(n)
+    table = _tables.get(n)
+    if table is None or table.facts is not facts:
+        table = _tables[n] = _CandidateTable(n, facts)
+    return table
+
+
+@lru_cache(maxsize=None)
+def waldschmidt_lower_bound(n: int, s: int) -> BoundFact:
+    """Best derivable lower bound for s generic simple points in P^n.
+
+    The candidates are compared by value in the order trivial, small-count,
+    root-count, certified, block-doubling, decompose; the first maximal one
+    wins, and only its derivation tree is built.
+    """
+    _validate(n, s)
+    table = _candidate_table(n)
+    best: Fraction | int = 1
+    # the current winner's tree builder: trees are built for the winner only
+    build = partial(ProofTree, RULE_TRIVIAL, Fraction(1), (("n", n), ("s", s)))
+
+    for s0, value, tree in table.small_counts:
+        if s >= s0 and value > best:
+            best, build = value, partial(_monotone, s, s0, tree)
+
+    k = _floor_nth_root(s, n)
+    if k >= 2 and k > best:
+        best, build = k, partial(
+            ProofTree, RULE_ROOT_COUNT, Fraction(k), (("n", n), ("s", s), ("scale", k))
+        )
+
+    for s0, value, tree in table.certified:
+        if s >= s0 and value > best:
+            best, build = value, partial(_monotone, s, s0, tree)
 
     b = s >> n
     if b >= 1:
         inner = waldschmidt_lower_bound(n, b)
-        candidates.append(
-            ProofTree(
+        doubled = 2 * inner.bound
+        if doubled > best:
+            best, build = doubled, partial(
+                ProofTree,
                 RULE_BLOCK_DOUBLING,
-                2 * inner.bound,
-                params=(("n", n), ("s", s), ("b", b)),
-                premises=(inner.derivation,),
-            )
-        )
-
-    if n >= 3:
-        for level in range(2, n - 1):
-            r1 = binomial(n - 1 + level, n - 1) + 1
-            r2 = binomial(n - 1 + level, n)
-            if s < r1 + r2:
-                break
-            f1 = waldschmidt_lower_bound(n - 1, r1)
-            f2 = waldschmidt_lower_bound(n - 1, r2)
-            a1 = min(f1.bound, Fraction(2))
-            a2 = min(f2.bound, Fraction(2))
-            if a1 <= 1:
-                continue
-            value = (1 - 1 / a1) * a2 + 1
-            candidates.append(
-                ProofTree(
-                    RULE_DECOMPOSE,
-                    value,
-                    params=(
-                        ("n", n),
-                        ("s", s),
-                        ("k", 1),
-                        ("r", (r1, r2)),
-                        ("a", ((a1.numerator, a1.denominator), (a2.numerator, a2.denominator))),
-                        ("scope", DECOMPOSE_SCOPE),
-                    ),
-                    premises=(f1.derivation, f2.derivation),
-                )
+                doubled,
+                (("n", n), ("s", s), ("b", b)),
+                (inner.derivation,),
             )
 
-    best = max(candidates, key=lambda t: t.value)
-    return BoundFact(n, Profile.simple(s), best.value, best)
+    for value, params, premises in table.decompose_levels(s):
+        if value > best:
+            best, build = value, partial(
+                ProofTree, RULE_DECOMPOSE, value, (("n", n), ("s", s)) + params, premises
+            )
+
+    tree = build()
+    return BoundFact(n, Profile.simple(s), tree.value, tree)
 
 
 def decomposition_bound(

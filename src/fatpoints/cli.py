@@ -18,12 +18,6 @@ from .bounds import (
     waldschmidt_lower_bound,
 )
 from .core import AffineValue, FatPointSystem
-from .oracle import (
-    OracleConfig,
-    OracleError,
-    alpha_symbolic_power,
-    linear_system_dim,
-)
 from .reduction import (
     ReductionError,
     certificate_from_json,
@@ -39,8 +33,6 @@ EX_FALSE = 1
 EX_PROOF_FAILURE = 2
 EX_USAGE = 64
 EX_INTERNAL = 70
-
-DEFAULT_SEED = 20260810
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,14 +77,27 @@ def _emit(data: dict) -> None:
     sys.stdout.write(to_canonical_json(data) + "\n")
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("FATPOINT_SEED", DEFAULT_SEED))
+def __getattr__(name):
+    # `linear_system_dim` stays a module attribute without loading numpy at
+    # import; the oracle commands import the oracle when they run
+    if name != "linear_system_dim":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import linear_system_dim
+
+    globals()[name] = linear_system_dim
+    return linear_system_dim
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(prime=args.prime, trials=args.trials, seed=_seed(args))
+def _oracle_config(args):
+    """OracleConfig from the flags given; an absent flag keeps the config's
+    default, and FATPOINT_SEED replaces the default seed."""
+    from .oracle import OracleConfig
+
+    seed = args.seed
+    if seed is None and "FATPOINT_SEED" in os.environ:
+        seed = int(os.environ["FATPOINT_SEED"])
+    given = {"prime": args.prime, "trials": args.trials, "seed": seed}
+    return OracleConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _concrete(value: AffineValue, what: str) -> int:
@@ -160,6 +165,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_oracle_dim(args) -> int:
+    from .oracle import linear_system_dim
+
     mults = []
     for value, count in args.mults:
         mults.extend([_concrete(value, "oracle multiplicity")] * count)
@@ -170,6 +177,8 @@ def _cmd_oracle_dim(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    from .oracle import alpha_symbolic_power
+
     config = _oracle_config(args)
     alpha = alpha_symbolic_power(args.n, args.points, args.power, config)
     _emit(
@@ -251,9 +260,9 @@ def build_parser() -> _Parser:
 
 
 def _add_oracle_flags(p) -> None:
-    p.add_argument("--prime", type=int, default=OracleConfig().prime)
-    p.add_argument("--trials", type=int, default=OracleConfig().trials)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--prime", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
 
 
 def run(argv) -> int:
@@ -266,7 +275,6 @@ def run(argv) -> int:
         return args.func(args)
     except (
         ReductionError,
-        OracleError,
         ValueError,
         OSError,
         KeyError,

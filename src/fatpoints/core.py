@@ -178,22 +178,6 @@ class FatPointSystem:
             out.extend([run.value] * run.count)
         return out
 
-    def drop_nonpositive(self) -> tuple["FatPointSystem", int]:
-        """Remove runs whose value is eventually <= 0.
-
-        Returns the reduced system and the least m0 from which the removal is
-        valid (multiplicity <= 0 imposes no condition).
-        """
-        kept: list[Run] = []
-        threshold = 1
-        for run in self.mults:
-            t = nonpositive_threshold(run.value)
-            if t is None:
-                kept.append(run)
-            else:
-                threshold = max(threshold, t)
-        return FatPointSystem(self.n, self.degree, tuple(kept)), threshold
-
     def instantiate(self, m: int) -> tuple[int, list[int]]:
         """Concrete (degree, multiplicities) at parameter value m >= 1.
 

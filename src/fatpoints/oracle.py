@@ -51,8 +51,8 @@ _ROW_CHUNK = 1 << 18
 _SAMPLING_ATTEMPTS = 64
 
 
-class OracleError(Exception):
-    pass
+class OracleError(ValueError):
+    """Invalid oracle configuration or input, or degenerate sampling."""
 
 
 @dataclass(frozen=True)

@@ -571,8 +571,36 @@ def _affine_to_list(v: AffineValue | None):
     return None if v is None else [v.slope, v.intercept]
 
 
+# Parsing trusts nothing: every number must be a JSON integer (JSON true and
+# false parse as bool, a subclass of int) and every object must hold only the
+# keys its writer emits.
+_CERT_KEYS = frozenset({"version", "claim", "m0", "steps"})
+_SYSTEM_KEYS = frozenset({"N", "degree", "mults"})
+_STEP_KEYS = frozenset(
+    {"rule", "pivot", "k", "output", "refs", "clamps", "witness", "removed", "scale",
+     "threshold"}
+)
+_CLAMP_KEYS = frozenset({"index", "value", "threshold"})
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ReductionError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _optional_int(value, what: str) -> int | None:
+    return None if value is None else _int(value, what)
+
+
+def _known_keys(data: Mapping[str, Any], keys: frozenset, what: str) -> None:
+    unknown = set(data) - keys
+    if unknown:
+        raise ReductionError(f"unknown {what} key {min(unknown)!r:.40}")
+
+
 def _affine_from_list(data) -> AffineValue:
-    return AffineValue(int(data[0]), int(data[1]))
+    return AffineValue(_int(data[0], "slope"), _int(data[1], "intercept"))
 
 
 def system_to_dict(sys: FatPointSystem) -> dict:
@@ -584,8 +612,12 @@ def system_to_dict(sys: FatPointSystem) -> dict:
 
 
 def system_from_dict(data: Mapping[str, Any]) -> FatPointSystem:
-    runs = tuple(Run(AffineValue(int(s), int(i)), int(c)) for s, i, c in data["mults"])
-    return FatPointSystem(int(data["N"]), _affine_from_list(data["degree"]), runs)
+    _known_keys(data, _SYSTEM_KEYS, "system")
+    runs = tuple(
+        Run(AffineValue(_int(s, "slope"), _int(i, "intercept")), _int(c, "run count"))
+        for s, i, c in data["mults"]
+    )
+    return FatPointSystem(_int(data["N"], "N"), _affine_from_list(data["degree"]), runs)
 
 
 def _step_to_dict(step: ReductionStep) -> dict:
@@ -606,23 +638,37 @@ def _step_to_dict(step: ReductionStep) -> dict:
     }
 
 
+def _clamp_from_dict(data: Mapping[str, Any]) -> ClampRecord:
+    _known_keys(data, _CLAMP_KEYS, "clamp")
+    return ClampRecord(
+        _int(data["index"], "clamp index"),
+        _affine_from_list(data["value"]),
+        _int(data["threshold"], "clamp threshold"),
+    )
+
+
 def _step_from_dict(data: Mapping[str, Any], input_sys: FatPointSystem) -> ReductionStep:
+    _known_keys(data, _STEP_KEYS, "step")
+    if not isinstance(data["rule"], str):
+        raise ReductionError("step rule must be a string")
+    pivot = data["pivot"]
+    if pivot is not None:
+        if not isinstance(pivot, list):
+            raise ReductionError("pivot must be a list")
+        pivot = tuple(_int(idx, "pivot index") for idx in pivot)
     output = None if data["output"] == "empty" else system_from_dict(data["output"])
     return ReductionStep(
         rule=data["rule"],
         input=input_sys,
         output=output,
-        pivot=tuple(data["pivot"]) if data["pivot"] is not None else None,
+        pivot=pivot,
         k=None if data["k"] is None else _affine_from_list(data["k"]),
-        clamps=tuple(
-            ClampRecord(int(c["index"]), _affine_from_list(c["value"]), int(c["threshold"]))
-            for c in data["clamps"]
-        ),
-        witness=data["witness"],
-        removed=data["removed"],
-        scale=data["scale"],
+        clamps=tuple(_clamp_from_dict(c) for c in data["clamps"]),
+        witness=_optional_int(data["witness"], "witness"),
+        removed=_optional_int(data["removed"], "removed"),
+        scale=_optional_int(data["scale"], "scale"),
         refs=tuple(certificate_from_dict(ref) for ref in data["refs"]),
-        threshold=int(data["threshold"]),
+        threshold=_int(data["threshold"], "step threshold"),
     )
 
 
@@ -636,8 +682,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: Mapping[str, Any]) -> Certificate:
-    if data.get("version") != FORMAT_VERSION:
-        raise ReductionError(f"unsupported certificate version {data.get('version')!r}")
+    _known_keys(data, _CERT_KEYS, "certificate")
+    version = data.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ReductionError(f"unsupported certificate version {version!r}")
     claim = system_from_dict(data["claim"])
     steps: list[ReductionStep] = []
     current = claim
@@ -645,7 +693,7 @@ def certificate_from_dict(data: Mapping[str, Any]) -> Certificate:
         step = _step_from_dict(raw, current)
         steps.append(step)
         current = step.output
-    return Certificate(claim, tuple(steps), int(data["m0"]))
+    return Certificate(claim, tuple(steps), _int(data["m0"], "m0"))
 
 
 def to_canonical_json(data: Mapping[str, Any]) -> str:

@@ -1,9 +1,27 @@
 """Shared builders for the test suite."""
 
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
-from fatpoints.core import AffineValue, FatPointSystem
-from fatpoints.facts import catalog
+from fatpoints.bounds import (
+    DECOMPOSE_SCOPE,
+    RULE_BLOCK_DOUBLING,
+    RULE_DECOMPOSE,
+    RULE_ROOT_COUNT,
+    RULE_SMALL_COUNT,
+    RULE_TRIVIAL,
+    RULE_UNIT_TO_DOUBLE,
+    BoundFact,
+    ProofTree,
+    _certified_tree,
+    _floor_nth_root,
+    _monotone,
+    _small_count_value,
+    _validate,
+)
+from fatpoints.core import AffineValue, FatPointSystem, binomial
+from fatpoints.facts import Profile, catalog
 
 
 def sysb(n, degree, *runs) -> FatPointSystem:
@@ -40,3 +58,97 @@ def shipped_certificates() -> list:
         for fact in catalog(n):
             walk(fact.certificate)
     return seen
+
+
+@lru_cache(maxsize=None)
+def reference_lower_bound(n: int, s: int) -> BoundFact:
+    """The rule engine as it was before winner-only tree building: every
+    candidate's derivation tree is built and `max` keeps the first maximal
+    one.  Tests require the engine to return the same facts."""
+    _validate(n, s)
+    candidates: list[ProofTree] = [
+        ProofTree(RULE_TRIVIAL, Fraction(1), params=(("n", n), ("s", s)))
+    ]
+
+    cases = [("n+1", n + 1), ("n+2", n + 2)]
+    cases.append(("n+3-even" if n % 2 == 0 else "n+3-odd", n + 3))
+    for case, s0 in cases:
+        if s >= s0:
+            inner = ProofTree(
+                RULE_SMALL_COUNT,
+                _small_count_value(n, case),
+                params=(("n", n), ("s", s0), ("case", case)),
+            )
+            candidates.append(_monotone(s, s0, inner))
+
+    k = _floor_nth_root(s, n)
+    if k >= 2:
+        candidates.append(
+            ProofTree(
+                RULE_ROOT_COUNT, Fraction(k), params=(("n", n), ("s", s), ("scale", k))
+            )
+        )
+
+    for fact in catalog(n):
+        tree = _certified_tree(fact)
+        if fact.profile.is_simple:
+            s0 = fact.profile.npoints
+            if s >= s0:
+                candidates.append(_monotone(s, s0, tree))
+        else:
+            pair = fact.profile.doubles_and_singles()
+            if pair is not None:
+                b, c = pair
+                s0 = b * 2**n + c
+                if s >= s0:
+                    lifted = ProofTree(
+                        RULE_UNIT_TO_DOUBLE,
+                        fact.bound,
+                        params=(("n", n), ("s0", s0), ("doubles", b), ("singles", c)),
+                        premises=(tree,),
+                    )
+                    candidates.append(_monotone(s, s0, lifted))
+
+    b = s >> n
+    if b >= 1:
+        inner = reference_lower_bound(n, b)
+        candidates.append(
+            ProofTree(
+                RULE_BLOCK_DOUBLING,
+                2 * inner.bound,
+                params=(("n", n), ("s", s), ("b", b)),
+                premises=(inner.derivation,),
+            )
+        )
+
+    if n >= 3:
+        for level in range(2, n - 1):
+            r1 = binomial(n - 1 + level, n - 1) + 1
+            r2 = binomial(n - 1 + level, n)
+            if s < r1 + r2:
+                break
+            f1 = reference_lower_bound(n - 1, r1)
+            f2 = reference_lower_bound(n - 1, r2)
+            a1 = min(f1.bound, Fraction(2))
+            a2 = min(f2.bound, Fraction(2))
+            if a1 <= 1:
+                continue
+            value = (1 - 1 / a1) * a2 + 1
+            candidates.append(
+                ProofTree(
+                    RULE_DECOMPOSE,
+                    value,
+                    params=(
+                        ("n", n),
+                        ("s", s),
+                        ("k", 1),
+                        ("r", (r1, r2)),
+                        ("a", ((a1.numerator, a1.denominator), (a2.numerator, a2.denominator))),
+                        ("scope", DECOMPOSE_SCOPE),
+                    ),
+                    premises=(f1.derivation, f2.derivation),
+                )
+            )
+
+    best = max(candidates, key=lambda t: t.value)
+    return BoundFact(n, Profile.simple(s), best.value, best)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fatpoints import bounds
 from fatpoints.bounds import (
     alpha_generic,
     bound_fact_to_dict,
@@ -17,8 +18,12 @@ from fatpoints.bounds import (
     report_to_dict,
     waldschmidt_lower_bound,
 )
+from helpers import reference_lower_bound
 
 F = Fraction
+
+# every count up to 1500, then a sparse stride to 20000
+REFERENCE_COUNTS = [*range(1, 1501), *range(1501, 20001, 97)]
 
 
 def test_alpha_generic():
@@ -171,3 +176,23 @@ def test_certified_leaves_survive_full_replay():
         tree = tree.premises[0]
     assert tree.rule == "certified-system"
     assert replay_proof_tree(fact.derivation) == F(51, 25)
+
+
+def test_engine_matches_the_reference_engine():
+    # the grid has ties (n=4, s=7: two small-count cases at 3/2; n=4, s=16:
+    # root-count and block-doubling at 2), where the first maximal candidate
+    # must win as it does in the reference
+    for n in range(2, 11):
+        for s in REFERENCE_COUNTS:
+            assert bound_fact_to_dict(waldschmidt_lower_bound(n, s)) == bound_fact_to_dict(
+                reference_lower_bound(n, s)
+            ), (n, s)
+
+
+def test_reports_match_the_reference_engine(monkeypatch):
+    sample = [(n, s) for n in range(2, 11) for s in (1, n + 1, n + 3, n + 4, 2**n, 700, 6600)]
+    checks = (hh_check, chudnovsky_check)
+    reports = [report_to_dict(check(n, s)) for n, s in sample for check in checks]
+    monkeypatch.setattr(bounds, "waldschmidt_lower_bound", reference_lower_bound)
+    expected = [report_to_dict(check(n, s)) for n, s in sample for check in checks]
+    assert reports == expected

@@ -85,6 +85,32 @@ def test_verify_reports_malformed_certificates(text, kind):
     assert data["reason"].startswith(f"malformed certificate: {kind}: ")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["steps"][0].update(pivot=["0", "0", "0", "0", "0"]),
+        lambda doc: doc["steps"][-1].update(witness=True),
+        lambda doc: doc.update(m0=True),
+        lambda doc: doc["steps"][0].update(threshold=1.5),
+        lambda doc: doc.update(comment="unknown key"),
+        lambda doc: doc["steps"][0].update(rule=["reduce_full"]),
+        lambda doc: doc.update(version=True),
+    ],
+    ids=["string-pivot", "bool-witness", "bool-m0", "float-threshold", "unknown-key",
+         "list-rule", "bool-version"],
+)
+def test_verify_rejects_loosely_typed_certificates(edit):
+    _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
+    doc = json.loads(out)
+    edit(doc)
+    code, vout, err = invoke_stdin(["verify", "--cert", "-"], json.dumps(doc))
+    assert code == 1
+    assert err == ""
+    data = json.loads(vout)
+    assert data["ok"] is False and data["failed_step"] is None
+    assert data["reason"].startswith("malformed certificate: ReductionError: ")
+
+
 def test_module_entry_point_exits_with_the_verdict(tmp_path):
     _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
     doc = json.loads(out)
@@ -232,3 +258,47 @@ def test_byte_identical_reruns():
         first = invoke(list(argv))
         second = invoke(list(argv))
         assert first == second
+
+
+def test_symbolic_imports_leave_numpy_unloaded():
+    script = (
+        "import sys, fatpoints, fatpoints.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded at import'\n"
+        "fatpoints.cli.run(['bound', '--n', '4', '--points', '71'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by a symbolic command'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fatpoints.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_oracle_names_resolve_on_first_use():
+    from fatpoints import cli, oracle
+
+    names = ("OracleConfig", "OracleReport", "alpha_symbolic_power", "linear_system_dim",
+             "waldschmidt_upper_estimate")
+    for name in names:
+        assert getattr(fatpoints, name) is getattr(oracle, name)
+    assert cli.linear_system_dim is oracle.linear_system_dim
+    star: dict = {}
+    exec("from fatpoints import *", star)
+    assert all(star[name] is getattr(oracle, name) for name in names)
+    for module in (fatpoints, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name
+
+
+def test_oracle_flag_defaults(monkeypatch):
+    system = ["--n", "2", "--degree", "4", "--mults", "2:5"]
+    dim = ('{"dimension":1,"dims":[1,1,1],"p":2147483647,"seed":%d,'
+           '"system":{"N":2,"degree":[0,4],"mults":[[0,2,5]]},"trials":3}\n')
+    alpha = '{"N":2,"alpha":4,"m":2,"p":2147483647,"s":5,"seed":%d,"trials":3}\n'
+    alpha_argv = ["alpha", "--n", "2", "--points", "5", "--power", "2"]
+    monkeypatch.delenv("FATPOINT_SEED", raising=False)
+    assert invoke(["oracle-dim", *system]) == (0, dim % 20260810, "")
+    assert invoke(alpha_argv) == (0, alpha % 20260810, "")
+    monkeypatch.setenv("FATPOINT_SEED", "7")
+    assert invoke(["oracle-dim", *system]) == (0, dim % 7, "")
+    assert invoke(alpha_argv) == (0, alpha % 7, "")
+    assert invoke(["oracle-dim", *system, "--seed", "5"]) == (0, dim % 5, "")

@@ -122,13 +122,6 @@ def test_instantiate_clamps_negative_multiplicities():
     assert sorted(mults) == [0, 2, 2]
 
 
-def test_drop_nonpositive():
-    s = sysb(3, (5, 0), ((2, 0), 2), ((-1, 4), 1), ((0, 0), 3))
-    dropped, threshold = s.drop_nonpositive()
-    assert dropped == sysb(3, (5, 0), ((2, 0), 2))
-    assert threshold == 4  # -m+4 <= 0 from m = 4 on
-
-
 def test_binomial():
     assert binomial(9, 4) == 126
     assert binomial(17, 0) == 1
