@@ -22,6 +22,36 @@ value and premises.  They sit in a per-n candidate table, built once per
 catalog(n) (decompose levels when a point count first reaches them).  For
 each s the engine compares values only and builds the derivation tree of
 the winner alone.
+
+Constant segments.  As a function of s, every candidate is a nondecreasing
+step function whose steps sit at counts known in advance (a candidate that
+does not apply yet counts as absent; absent, then present with a fixed
+value, is a step at the count it starts to apply from):
+
+  trivial                     1 for every s: no step
+  small-count, certified,     a fixed value from its s0 on: one step, at s0
+    unit-to-double
+  decompose                   a fixed value from its level size
+                              C(n+l, n) + 1 on: one step there
+  root-count                  k = floor(s^(1/n)), present for k >= 2: steps
+                              at k^n, k >= 2
+  block-doubling              2 * bound(n, floor(s / 2^n)), present from
+                              2^n on: the inner bound is constant for
+                              floor(s / 2^n) between two consecutive
+                              breakpoints b < b' of the same n, so steps
+                              only at b * 2^n
+
+The last line is an induction on s (floor(s / 2^n) < s), and with it the
+bound, the maximum over present candidates, is nondecreasing with every step
+at 1 or at one of those counts (`_CandidateTable.breakpoints`).  Between two
+consecutive breakpoints the set of present candidates and their values are
+fixed, so the bound and the winning rule (the first maximal candidate in a
+fixed order) are too; only the params that record s differ.  The Chudnovsky
+rhs depends on s through alpha alone, which steps only at C(d+n, n); the HH
+rhs through reg alone, which steps only at C(n+l, n) + 1.  So on a segment
+that has no breakpoint of the bound, nor a step of its check's rhs, inside
+it, the check's bound, rhs and verdict are constant: `verdict_segments` cuts
+a sweep there, and the sweep runs one check per segment.
 """
 
 from __future__ import annotations
@@ -207,6 +237,23 @@ class _CandidateTable:
         self._level_sizes = [(level, binomial(n + level, n) + 1) for level in range(2, n - 1)]
         self._levels: dict[int, tuple[Fraction, tuple, tuple] | None] = {}
 
+    def breakpoints(self, stop: int) -> list[int]:
+        """The counts in 1..stop at which a candidate above may step; the
+        bound and the winning rule are constant from one to the next."""
+        if stop < 1:
+            return []
+        n = self.n
+        steps = {1}
+        steps.update(s0 for s0, _, _ in self.small_counts)
+        steps.update(s0 for s0, _, _ in self.certified)
+        steps.update(size for _, size in self._level_sizes)
+        k = 2
+        while k**n <= stop:
+            steps.add(k**n)
+            k += 1
+        steps.update(b << n for b in self.breakpoints(stop >> n))
+        return sorted(s for s in steps if s <= stop)
+
     def decompose_levels(self, s: int):
         """(value, params after n and s, premises) of each decompose level
         that applies to s points and has a first part worth more than 1."""
@@ -299,6 +346,24 @@ def waldschmidt_lower_bound(n: int, s: int) -> BoundFact:
 
     tree = build()
     return BoundFact(n, Profile.simple(s), tree.value, tree)
+
+
+def verdict_segments(n: int, start: int, stop: int, check: str) -> list[tuple[int, int]]:
+    """Split start..stop into (first, last) runs of counts that share the
+    bound and the rhs of `check` ("hh" or "chudnovsky"), hence its verdict."""
+    if start > stop:
+        return []
+    _validate(n, start)
+    cuts = set(_candidate_table(n).breakpoints(stop))
+    # the hh rhs steps with reg at C(n+l, n) + 1, the chudnovsky one with
+    # alpha at C(n+d, n)
+    shift = {"hh": 1, "chudnovsky": 0}[check]
+    level = 0
+    while binomial(n + level, n) + shift <= stop:
+        cuts.add(binomial(n + level, n) + shift)
+        level += 1
+    firsts = [start, *sorted(s for s in cuts if start < s <= stop)]
+    return list(zip(firsts, [s - 1 for s in firsts[1:]] + [stop]))
 
 
 def decomposition_bound(
@@ -431,7 +496,7 @@ def hh_check(n: int, s: int) -> HHReport:
     alpha = alpha_generic(n, s)
     rhs = Fraction(reg + n - 1, n)
     verdict = fact.bound > rhs
-    r_threshold = containment_threshold(n, s) if verdict else None
+    r_threshold = _threshold(n, fact.bound, reg) if verdict else None
     return HHReport(n, s, fact.bound, alpha, reg, rhs, verdict, r_threshold, fact.derivation)
 
 
@@ -449,15 +514,17 @@ def containment_threshold(n: int, s: int) -> int:
 
     Defined only when the strict inequality bound > (reg + n - 1)/n holds.
     """
-    fact = waldschmidt_lower_bound(n, s)
-    reg = regularity_generic(n, s)
-    margin = n * fact.bound - (reg + n - 1)
+    return _threshold(n, waldschmidt_lower_bound(n, s).bound, regularity_generic(n, s))
+
+
+def _threshold(n: int, bound: Fraction, reg: int) -> int:
+    margin = n * bound - (reg + n - 1)
     if margin <= 0:
         raise ValueError(
-            f"threshold undefined: bound {fact.bound} does not strictly exceed "
+            f"threshold undefined: bound {bound} does not strictly exceed "
             f"{Fraction(reg + n - 1, n)}"
         )
-    need = n * fact.bound / margin
+    need = n * bound / margin
     return max(2, -(-need.numerator // need.denominator))
 
 

@@ -15,6 +15,7 @@ from .bounds import (
     containment_threshold,
     hh_check,
     report_to_dict,
+    verdict_segments,
     waldschmidt_lower_bound,
 )
 from .core import AffineValue, FatPointSystem
@@ -199,14 +200,16 @@ def _cmd_sweep(args) -> int:
     check = hh_check if args.check == "hh" else chudnovsky_check
     sys.stdout.write("N,s,bound,rhs,verdict\n")
     all_true = True
-    for s in range(args.start, args.stop + 1):
-        report = check(args.n, s)
+    # bound, rhs and verdict are constant on a segment: one check for each
+    for first, last in verdict_segments(args.n, args.start, args.stop, args.check):
+        report = check(args.n, first)
         all_true &= report.verdict
-        sys.stdout.write(
-            f"{args.n},{s},{report.bound.numerator}/{report.bound.denominator},"
+        suffix = (
+            f"{report.bound.numerator}/{report.bound.denominator},"
             f"{report.rhs.numerator}/{report.rhs.denominator},"
             f"{'true' if report.verdict else 'false'}\n"
         )
+        sys.stdout.writelines(f"{args.n},{s},{suffix}" for s in range(first, last + 1))
     return EX_OK if all_true else EX_FALSE
 
 

@@ -358,33 +358,34 @@ def prove_with_script(sys: FatPointSystem, script: Mapping[str, Any]) -> Certifi
                        "rest": {"system": ..., "prove": ...}}
 
     "merge" proves the two sub-claims and combines them; the assembled claim
-    must equal `sys`.
+    must equal `sys`.  A node may hold only the keys of its form, and
+    `scale` must be a JSON integer.
     """
     how = script.get("how")
+    if not isinstance(how, str) or how not in _SCRIPT_KEYS:
+        raise ReductionError(f"unknown script form {how!r}")
+    _known_keys(script, _SCRIPT_KEYS[how], f"{how} script")
     if how == "greedy":
         return prove_empty(sys, "greedy")
     if how == "pivots":
         return prove_empty(sys, [tuple(p) for p in script["pivots"]])
     if how == "evain":
-        cert = evain_certificate(sys.n, int(script["scale"]), sys.mults[0].value)
+        cert = evain_certificate(sys.n, _int(script["scale"], "script scale"), sys.mults[0].value)
         if cert.claim != sys:
             raise ReductionError("system does not match the axiom pattern")
         return cert
-    if how == "merge":
-        part = _scripted_branch(script["part"])
-        rest = _scripted_branch(script["rest"])
-        if part is None or rest is None:
-            return None
-        cert = merge_empty(part, rest)
-        if cert.claim != sys:
-            raise ReductionError(
-                f"merge assembles {cert.claim}, not the requested {sys}"
-            )
-        return cert
-    raise ReductionError(f"unknown script form {how!r}")
+    part = _scripted_branch(script["part"])
+    rest = _scripted_branch(script["rest"])
+    if part is None or rest is None:
+        return None
+    cert = merge_empty(part, rest)
+    if cert.claim != sys:
+        raise ReductionError(f"merge assembles {cert.claim}, not the requested {sys}")
+    return cert
 
 
 def _scripted_branch(spec: Mapping[str, Any]) -> Certificate | None:
+    _known_keys(spec, _BRANCH_KEYS, "merge branch")
     return prove_with_script(system_from_dict(spec["system"]), spec["prove"])
 
 
@@ -581,6 +582,13 @@ _STEP_KEYS = frozenset(
      "threshold"}
 )
 _CLAMP_KEYS = frozenset({"index", "value", "threshold"})
+_SCRIPT_KEYS = {
+    "greedy": frozenset({"how"}),
+    "pivots": frozenset({"how", "pivots"}),
+    "evain": frozenset({"how", "scale"}),
+    "merge": frozenset({"how", "part", "rest"}),
+}
+_BRANCH_KEYS = frozenset({"system", "prove"})
 
 
 def _int(value, what: str) -> int:
@@ -600,7 +608,11 @@ def _known_keys(data: Mapping[str, Any], keys: frozenset, what: str) -> None:
 
 
 def _affine_from_list(data) -> AffineValue:
-    return AffineValue(_int(data[0], "slope"), _int(data[1], "intercept"))
+    # a shorter list fails on indexing, a longer one here
+    value = AffineValue(_int(data[0], "slope"), _int(data[1], "intercept"))
+    if len(data) != 2:
+        raise ReductionError(f"an affine value has two entries, got {len(data)}")
+    return value
 
 
 def system_to_dict(sys: FatPointSystem) -> dict:

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +20,10 @@ from fatpoints.bounds import (
     _monotone,
     _small_count_value,
     _validate,
+    chudnovsky_check,
+    hh_check,
 )
+from fatpoints.cli import EX_FALSE, EX_OK
 from fatpoints.core import AffineValue, FatPointSystem, binomial
 from fatpoints.facts import Profile, catalog
 
@@ -152,3 +156,24 @@ def reference_lower_bound(n: int, s: int) -> BoundFact:
 
     best = max(candidates, key=lambda t: t.value)
     return BoundFact(n, Profile.simple(s), best.value, best)
+
+
+# the acceptance grid's sweep ranges, from one point on, for n = 2..10
+SWEEP_STOPS = {n: min(3**n, 6600) if n <= 8 else 3000 for n in range(2, 11)}
+
+
+def reference_sweep(args) -> int:
+    """`fatpoints sweep` as it was before it split the range into segments:
+    one check per count.  Tests require the command to print the same."""
+    check = hh_check if args.check == "hh" else chudnovsky_check
+    sys.stdout.write("N,s,bound,rhs,verdict\n")
+    all_true = True
+    for s in range(args.start, args.stop + 1):
+        report = check(args.n, s)
+        all_true &= report.verdict
+        sys.stdout.write(
+            f"{args.n},{s},{report.bound.numerator}/{report.bound.denominator},"
+            f"{report.rhs.numerator}/{report.rhs.denominator},"
+            f"{'true' if report.verdict else 'false'}\n"
+        )
+    return EX_OK if all_true else EX_FALSE

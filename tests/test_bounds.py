@@ -18,7 +18,7 @@ from fatpoints.bounds import (
     report_to_dict,
     waldschmidt_lower_bound,
 )
-from helpers import reference_lower_bound
+from helpers import SWEEP_STOPS, reference_lower_bound
 
 F = Fraction
 
@@ -196,3 +196,21 @@ def test_reports_match_the_reference_engine(monkeypatch):
     monkeypatch.setattr(bounds, "waldschmidt_lower_bound", reference_lower_bound)
     expected = [report_to_dict(check(n, s)) for n, s in sample for check in checks]
     assert reports == expected
+
+
+def _candidate_rule(tree):
+    # a bound applied to more points than its own is the same candidate
+    return tree.premises[0].rule if tree.rule == "monotone" else tree.rule
+
+
+def test_bound_is_constant_between_breakpoints():
+    for n, stop in SWEEP_STOPS.items():
+        cuts = bounds._candidate_table(n).breakpoints(stop)
+        assert cuts[0] == 1
+        first = None
+        for s in range(1, stop + 1):
+            fact = waldschmidt_lower_bound(n, s)
+            if s in cuts:
+                first = fact
+            assert fact.bound == first.bound, (n, s)
+            assert _candidate_rule(fact.derivation) == _candidate_rule(first.derivation), (n, s)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import fatpoints
+from fatpoints import bounds, cli
 from fatpoints.cli import run
+from helpers import SWEEP_STOPS, reference_sweep
 
 
 def invoke(argv, env_seed=None, monkeypatch=None):
@@ -111,6 +113,18 @@ def test_verify_rejects_loosely_typed_certificates(edit):
     assert data["reason"].startswith("malformed certificate: ReductionError: ")
 
 
+def test_verify_rejects_affine_values_with_extra_entries():
+    _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
+    doc = json.loads(out)
+    doc["claim"]["degree"] = [8, -1, 99]
+    code, vout, err = invoke_stdin(["verify", "--cert", "-"], json.dumps(doc))
+    assert code == 1
+    assert err == ""
+    data = json.loads(vout)
+    assert data["ok"] is False and data["failed_step"] is None
+    assert data["reason"].startswith("malformed certificate: ReductionError: ")
+
+
 def test_module_entry_point_exits_with_the_verdict(tmp_path):
     _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
     doc = json.loads(out)
@@ -157,6 +171,42 @@ def test_prove_empty_with_script(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["claim"]["mults"] == [[2, 0, 1], [1, 0, 4]]
+
+
+@pytest.mark.parametrize(
+    "node",
+    [{"how": "evain", "scale": 2.5}, {"how": "evain", "scale": "2"},
+     {"how": "evain", "scale": 2, "note": "x"}, {"how": "greedy", "scale": 2},
+     {"how": ["evain"]}, {"how": "nope"}],
+    ids=["float-scale", "string-scale", "unknown-key", "key-of-another-form",
+         "list-how", "unknown-how"],
+)
+def test_prove_empty_rejects_loose_script_nodes(tmp_path, node):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(node))
+    code, out, err = invoke(
+        ["prove-empty", "--n", "2", "--degree", "2,-1", "--mults", "1,0:4", "--script", str(path)]
+    )
+    assert (code, out) == (70, "")
+    assert json.loads(err)["kind"] == "ReductionError"
+
+
+def test_prove_empty_rejects_loose_merge_branches(tmp_path):
+    script = {
+        "how": "merge",
+        "part": {"system": {"N": 2, "degree": [2, -1], "mults": [[1, 0, 4]]},
+                 "prove": {"how": "evain", "scale": 2}, "extra": 1},
+        "rest": {"system": {"N": 2, "degree": [2, -1], "mults": [[2, 0, 2]]},
+                 "prove": {"how": "greedy"}},
+    }
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code, out, err = invoke(
+        ["prove-empty", "--n", "2", "--degree", "2,-1", "--mults", "2,0:1;1,0:4",
+         "--script", str(path)]
+    )
+    assert (code, out) == (70, "")
+    assert json.loads(err)["kind"] == "ReductionError"
 
 
 def test_bound_and_checks():
@@ -234,6 +284,67 @@ def test_sweep_csv():
 
     code, out, _ = invoke(["sweep", "--n", "4", "--from", "1", "--to", "8", "--check", "hh"])
     assert code == 1  # tiny counts fail the strict check
+
+
+def _sweep_argv(n, start, stop, check):
+    return ["sweep", "--n", str(n), "--from", str(start), "--to", str(stop), "--check", check]
+
+
+def _reference_invoke(argv, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cmd_sweep", reference_sweep)
+        return invoke(argv)
+
+
+def test_sweep_matches_the_reference_loop(monkeypatch):
+    for n, stop in SWEEP_STOPS.items():
+        for check in ("hh", "chudnovsky"):
+            full = _sweep_argv(n, 1, stop, check)
+            expected = _reference_invoke(full, monkeypatch)
+            assert invoke(full) == expected, (n, check)
+            # the counts where a row differs from the one before, by the
+            # reference, and the segment starts of the command under test
+            rows = [line.split(",", 2)[2] for line in expected[1].splitlines()[1:]]
+            steps = {s for s in range(2, stop + 1) if rows[s - 1] != rows[s - 2]}
+            steps.update(first for first, _ in bounds.verdict_segments(n, 1, stop, check))
+            singles = {s + d for s in steps for d in (-1, 0, 1)} & set(range(1, stop + 1))
+            cuts = sorted(steps)
+            # starts in the middle of a segment, each range crossing the next cut
+            middles = [((a + b) // 2, min(stop, b + (b - a) // 2 + 1))
+                       for a, b in zip(cuts, cuts[1:]) if b - a >= 2]
+            ranges = [(s, s) for s in sorted(singles)] + middles
+            for start, last in ranges:
+                argv = _sweep_argv(n, start, last, check)
+                assert invoke(argv) == _reference_invoke(argv, monkeypatch), argv
+
+
+def test_sweep_errors_and_empty_ranges_match_the_reference_loop(monkeypatch):
+    header = "N,s,bound,rhs,verdict\n"
+    for check in ("hh", "chudnovsky"):
+        argv = _sweep_argv(4, 9, 8, check)
+        assert invoke(argv) == _reference_invoke(argv, monkeypatch) == (0, header, "")
+        for n, start, stop in ((4, 0, 10), (4, -2, 10), (1, 3, 20)):
+            argv = _sweep_argv(n, start, stop, check)
+            code, out, err = invoke(argv)
+            assert (code, out, err) == _reference_invoke(argv, monkeypatch), argv
+            assert code == 70 and out == header
+            assert json.loads(err)["kind"] == "ValueError"
+
+
+def test_sweep_checks_once_per_segment(monkeypatch):
+    argv = _sweep_argv(8, 12, 6600, "hh")
+    expected = _reference_invoke(argv, monkeypatch)
+    calls = []
+
+    def spy(n, s):
+        calls.append(s)
+        return bounds.hh_check(n, s)
+
+    monkeypatch.setattr(cli, "hh_check", spy)
+    assert invoke(argv) == expected
+    segments = bounds.verdict_segments(8, 12, 6600, "hh")
+    assert calls == [first for first, _ in segments]
+    assert len(calls) <= 64
 
 
 def test_usage_errors_exit_64():
