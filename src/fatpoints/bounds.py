@@ -63,7 +63,7 @@ from typing import Any, Sequence
 
 from .core import binomial
 from .facts import Profile, WaldschmidtFact, catalog, fact_from_certificate
-from .reduction import Certificate, certificate_to_dict, verify_certificate
+from .reduction import Certificate, certificate_to_dict
 
 RULE_TRIVIAL = "trivial"
 RULE_MONOTONE = "monotone"
@@ -173,6 +173,13 @@ def _small_count_value(n: int, case: str) -> Fraction:
     raise ValueError(f"unknown small-count case {case!r}")
 
 
+def _small_counts(n: int) -> dict[str, tuple[int, Fraction]]:
+    """case -> (s0, value) for the small-count cases that hold in P^n: s0
+    points have constant at least value.  The n+3 case is split by parity."""
+    cases = (("n+1", n + 1), ("n+2", n + 2), ("n+3-odd" if n % 2 else "n+3-even", n + 3))
+    return {case: (s0, _small_count_value(n, case)) for case, s0 in cases}
+
+
 def _certified_tree(fact: WaldschmidtFact) -> ProofTree:
     return ProofTree(
         RULE_CERTIFIED,
@@ -205,15 +212,10 @@ class _CandidateTable:
     def __init__(self, n: int, facts: tuple[WaldschmidtFact, ...]) -> None:
         self.n = n
         self.facts = facts
-        cases = [("n+1", n + 1), ("n+2", n + 2)]
-        cases.append(("n+3-even" if n % 2 == 0 else "n+3-odd", n + 3))
-        self.small_counts = []
-        for case, s0 in cases:
-            value = _small_count_value(n, case)
-            inner = ProofTree(
-                RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case))
-            )
-            self.small_counts.append((s0, value, inner))
+        self.small_counts = [
+            (s0, value, ProofTree(RULE_SMALL_COUNT, value, (("n", n), ("s", s0), ("case", case))))
+            for case, (s0, value) in _small_counts(n).items()
+        ]
 
         self.certified = []
         for fact in facts:
@@ -425,14 +427,13 @@ def _replay(tree: ProofTree) -> Fraction:
         return Fraction(k)
     if rule == RULE_SMALL_COUNT:
         n, s, case = tree.param("n"), tree.param("s"), tree.param("case")
-        need = {"n+1": n + 1, "n+2": n + 2, "n+3-even": n + 3, "n+3-odd": n + 3}[case]
-        if s < need:
-            raise ValueError(f"small-count case {case} needs s >= {need}")
-        if case == "n+3-even" and n % 2:
-            raise ValueError("even-parity case used with odd n")
-        if case == "n+3-odd" and n % 2 == 0:
-            raise ValueError("odd-parity case used with even n")
-        return _small_count_value(n, case)
+        cases = _small_counts(n)
+        if case not in cases:
+            raise ValueError(f"small-count case {case!r} does not hold in P^{n}")
+        s0, value = cases[case]
+        if s < s0:
+            raise ValueError(f"small-count case {case} needs s >= {s0}")
+        return value
     if rule == RULE_BLOCK_DOUBLING:
         n, s, b = tree.param("n"), tree.param("s"), tree.param("b")
         if b < 1 or b * 2**n > s:

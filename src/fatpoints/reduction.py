@@ -1,20 +1,27 @@
 """Reduction calculus on fat-point systems and replayable emptiness certificates.
 
-Three dimension-preserving / one-directional moves drive everything:
+Two dimension-preserving moves are library functions only; no certificate
+step records them:
 
-* the standard birational involution shifts an n+1 point pivot and the degree
-  by k = (n-1)d - sum(pivot), a linear isomorphism when every shifted
+* `cremona_step` shifts an n+1 point pivot and the degree by
+  k = (n-1)d - sum(pivot), a linear isomorphism when every shifted
   multiplicity stays >= 0;
-* when (n-1)d - sum of n positive multiplicities is negative, those n
-  multiplicities and the degree drop by one without changing the dimension;
-* the combined one-directional move ("reduce_full") applies the shift with
-  eventually-negative results clamped to 0: nonzero input implies nonzero
-  output, so an empty output certifies an empty input.
+* `degree_drop_step`: when (n-1)d - sum of n positive multiplicities is
+  negative, those n multiplicities and the degree drop by one without
+  changing the dimension.
 
-A certificate is a chain of such steps ending in a contradiction (some
-multiplicity eventually exceeds the degree), an axiom instance, or a merge of
-two previously certified claims.  Certificates serialize to canonical JSON and
-replay exactly.
+A certificate is a chain of steps under five rules:
+
+* `reduce_full` applies the shift with eventually-negative results clamped
+  to 0: nonzero input implies nonzero output, so an empty output certifies
+  an empty input;
+* `clamp_nonpositive` stores eventually-nonpositive multiplicities as 0
+  (accepted from hand-built certificates; the prover never emits it);
+* the chain ends in a `contradiction` (some multiplicity eventually exceeds
+  the degree), an `evain_axiom` instance, or a `merge_empty` of two
+  previously certified claims.
+
+Certificates serialize to canonical JSON and replay exactly.
 """
 
 from __future__ import annotations
@@ -41,23 +48,13 @@ from .core import (
 
 FORMAT_VERSION = 1
 
-RULE_CREMONA = "cremona_iso"
-RULE_DEGREE_DROP = "degree_drop"
 RULE_MERGE = "merge_empty"
 RULE_REDUCE = "reduce_full"
 RULE_CLAMP = "clamp_nonpositive"
 RULE_CONTRADICTION = "contradiction"
 RULE_EVAIN = "evain_axiom"
 
-_RULES = {
-    RULE_CREMONA,
-    RULE_DEGREE_DROP,
-    RULE_MERGE,
-    RULE_REDUCE,
-    RULE_CLAMP,
-    RULE_CONTRADICTION,
-    RULE_EVAIN,
-}
+_RULES = {RULE_MERGE, RULE_REDUCE, RULE_CLAMP, RULE_CONTRADICTION, RULE_EVAIN}
 
 
 class ReductionError(Exception):
@@ -327,14 +324,7 @@ def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
         raise MergeError(
             f"no multiplicity {key} (= first claim's degree + 1) in second claim"
         )
-    runs = list(cert_a.claim.mults)
-    for idx, run in enumerate(cert_b.claim.mults):
-        if idx == removed:
-            if run.count > 1:
-                runs.append(Run(run.value, run.count - 1))
-        else:
-            runs.append(run)
-    claim = FatPointSystem(cert_b.claim.n, cert_b.claim.degree, tuple(runs))
+    claim = _merged_claim(cert_a, cert_b, removed)
     m0 = max(cert_a.m0, cert_b.m0)
     step = ReductionStep(
         rule=RULE_MERGE,
@@ -345,6 +335,18 @@ def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
         threshold=m0,
     )
     return Certificate(claim, (step,), m0)
+
+
+def _merged_claim(cert_a: Certificate, cert_b: Certificate, removed: int) -> FatPointSystem:
+    """cert_b's claim with one point of its run `removed` replaced by all of
+    cert_a's points."""
+    runs = list(cert_a.claim.mults)
+    for idx, run in enumerate(cert_b.claim.mults):
+        if idx != removed:
+            runs.append(run)
+        elif run.count > 1:
+            runs.append(Run(run.value, run.count - 1))
+    return FatPointSystem(cert_b.claim.n, cert_b.claim.degree, tuple(runs))
 
 
 def prove_with_script(sys: FatPointSystem, script: Mapping[str, Any]) -> Certificate | None:
@@ -368,7 +370,12 @@ def prove_with_script(sys: FatPointSystem, script: Mapping[str, Any]) -> Certifi
     if how == "greedy":
         return prove_empty(sys, "greedy")
     if how == "pivots":
-        return prove_empty(sys, [tuple(p) for p in script["pivots"]])
+        pivots = script["pivots"]
+        if not isinstance(pivots, list):
+            raise ReductionError("script pivots must be a list")
+        return prove_empty(
+            sys, [_pivot_from_list(p, f"script pivot {i}") for i, p in enumerate(pivots)]
+        )
     if how == "evain":
         cert = evain_certificate(sys.n, _int(script["scale"], "script scale"), sys.mults[0].value)
         if cert.claim != sys:
@@ -417,12 +424,9 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
         if (step.output is None) != (i == last):
             return fail(i, "empty verdict must appear exactly at the final step")
         try:
-            expected = _replay_step(step)
+            replayed, threshold = _replay_step(step)
         except (ReductionError, ValueError) as exc:
             return fail(i, str(exc))
-        if isinstance(expected, VerificationResult):
-            return fail(i, expected.reason or "sub-certificate failure")
-        replayed, threshold = expected
         if step.threshold != threshold:
             return fail(i, f"stored threshold {step.threshold}, replay needs {threshold}")
         if replayed is None:
@@ -439,11 +443,8 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
 
 
 def _replay_step(step: ReductionStep):
-    """Recompute a step from its input and side data.
-
-    Returns (output_or_None, required_threshold), or a VerificationResult for
-    rules that carry their own sub-verification (merge refs).
-    """
+    """Recompute a step from its input and side data: returns
+    (output_or_None, required_threshold) or raises ReductionError."""
     sys = step.input
     if step.rule == RULE_REDUCE:
         if step.pivot is None:
@@ -454,44 +455,6 @@ def _replay_step(step: ReductionStep):
         if step.clamps != replay.clamps:
             raise ReductionError("stored clamp records differ from replay")
         return replay.output, replay.threshold
-
-    if step.rule == RULE_CREMONA:
-        if step.pivot is None:
-            raise ReductionError("isomorphism step is missing its pivot")
-        k = cremona_k(sys, step.pivot)
-        if step.k != k:
-            raise ReductionError(f"stored k {step.k} differs from replayed {k}")
-        counts = pivot_counts(sys, step.pivot)
-        threshold = 1
-        for idx, taken in enumerate(counts):
-            if taken:
-                t = nonneg_threshold(sys.mults[idx].value + k)
-                if t is None:
-                    raise ReductionError("a pivot multiplicity plus k is eventually negative")
-                threshold = max(threshold, t)
-        runs = _shift_pivot(sys, counts, k)
-        return FatPointSystem(sys.n, sys.degree + k, tuple(runs)), threshold
-
-    if step.rule == RULE_DEGREE_DROP:
-        if step.pivot is None or len(step.pivot) != sys.n:
-            raise ReductionError("degree-drop pivot must select exactly n points")
-        counts = pivot_counts(sys, step.pivot)
-        total = ZERO
-        threshold = 1
-        for idx, taken in enumerate(counts):
-            if taken:
-                total = total + sys.mults[idx].value.scaled(taken)
-                t = positive_threshold(sys.mults[idx].value)
-                if t is None:
-                    raise ReductionError("a decremented multiplicity is not eventually positive")
-                threshold = max(threshold, t)
-        gap = sys.degree.scaled(sys.n - 1) - total
-        es = eventual_sign(gap)
-        if es.sign is not Sign.NEGATIVE:
-            raise ReductionError("(n-1)d - sum(pivot) is not eventually negative")
-        threshold = max(threshold, es.threshold)
-        runs = _shift_pivot(sys, counts, -ONE)
-        return FatPointSystem(sys.n, sys.degree - ONE, tuple(runs)), threshold
 
     if step.rule == RULE_CLAMP:
         runs = list(sys.mults)
@@ -538,8 +501,8 @@ def _replay_step(step: ReductionStep):
         for name, ref in (("first", cert_a), ("second", cert_b)):
             res = verify_certificate(ref)
             if not res:
-                return VerificationResult(
-                    False, None, f"{name} sub-certificate fails at step {res.failed_step}: {res.reason}"
+                raise ReductionError(
+                    f"{name} sub-certificate fails at step {res.failed_step}: {res.reason}"
                 )
         if cert_a.claim.n != cert_b.claim.n or cert_a.claim.n != sys.n:
             raise ReductionError("merge dimensions do not agree")
@@ -548,18 +511,9 @@ def _replay_step(step: ReductionStep):
         run = cert_b.claim.mults[step.removed]
         if run.value != cert_a.claim.degree + ONE:
             raise ReductionError("removed multiplicity must equal first claim's degree + 1")
-        runs = list(cert_a.claim.mults)
-        for idx, other in enumerate(cert_b.claim.mults):
-            if idx == step.removed:
-                if other.count > 1:
-                    runs.append(Run(other.value, other.count - 1))
-            else:
-                runs.append(other)
-        merged = FatPointSystem(sys.n, cert_b.claim.degree, tuple(runs))
-        if merged != sys:
+        if _merged_claim(cert_a, cert_b, step.removed) != sys:
             raise ReductionError("merged claim does not match the step input")
-        threshold = max(cert_a.m0, cert_b.m0)
-        return None, threshold
+        return None, max(cert_a.m0, cert_b.m0)
 
     raise ReductionError(f"unknown rule {step.rule!r}")
 
@@ -615,6 +569,12 @@ def _affine_from_list(data) -> AffineValue:
     return value
 
 
+def _pivot_from_list(data, what: str) -> tuple[int, ...]:
+    if not isinstance(data, list):
+        raise ReductionError(f"{what} must be a list")
+    return tuple(_int(idx, f"{what} index") for idx in data)
+
+
 def system_to_dict(sys: FatPointSystem) -> dict:
     return {
         "N": sys.n,
@@ -663,11 +623,7 @@ def _step_from_dict(data: Mapping[str, Any], input_sys: FatPointSystem) -> Reduc
     _known_keys(data, _STEP_KEYS, "step")
     if not isinstance(data["rule"], str):
         raise ReductionError("step rule must be a string")
-    pivot = data["pivot"]
-    if pivot is not None:
-        if not isinstance(pivot, list):
-            raise ReductionError("pivot must be a list")
-        pivot = tuple(_int(idx, "pivot index") for idx in pivot)
+    pivot = None if data["pivot"] is None else _pivot_from_list(data["pivot"], "pivot")
     output = None if data["output"] == "empty" else system_from_dict(data["output"])
     return ReductionStep(
         rule=data["rule"],

@@ -84,6 +84,19 @@ def test_replay_rejects_tampered_tree():
         replay_proof_tree(forged)
 
 
+@pytest.mark.parametrize(
+    "n, s, case",
+    [(4, 9, "bogus"), (5, 9, "n+3-even"), (4, 9, "n+3-odd"), (4, 6, "n+3-even")],
+    ids=["unknown-case", "even-case-odd-n", "odd-case-even-n", "too-few-points"],
+)
+def test_replay_rejects_small_count_cases_that_do_not_hold(n, s, case):
+    # a known case stores its own closed form, so only applicability can fail
+    value = F(3, 2) if case == "bogus" else bounds._small_count_value(n, case)
+    tree = bounds.ProofTree(bounds.RULE_SMALL_COUNT, value, (("n", n), ("s", s), ("case", case)))
+    with pytest.raises(ValueError):
+        replay_proof_tree(tree)
+
+
 def test_decomposition_bound_values():
     assert decomposition_bound(5, [(3, F(2)), (4, F(2))], 1) == 2
     # the cross-dimension shape: a1 = (n+l+1)/n, a2 = (n+l)/n

@@ -125,6 +125,33 @@ def test_verify_rejects_affine_values_with_extra_entries():
     assert data["reason"].startswith("malformed certificate: ReductionError: ")
 
 
+# sound chains, but each records a library-only move as a certificate rule
+DEGREE_DROP_CERT = (
+    '{"claim":{"N":2,"degree":[1,0],"mults":[[1,0,3]]},"m0":1,"steps":[{"clamps":[],"k":null,'
+    '"output":{"N":2,"degree":[1,-1],"mults":[[1,0,1],[1,-1,2]]},"pivot":[0,0],"refs":[],'
+    '"removed":null,"rule":"degree_drop","scale":null,"threshold":1,"witness":null},'
+    '{"clamps":[],"k":null,"output":"empty","pivot":null,"refs":[],"removed":null,'
+    '"rule":"contradiction","scale":null,"threshold":1,"witness":0}],"version":1}'
+)
+CREMONA_CERT = (
+    '{"claim":{"N":2,"degree":[0,2],"mults":[[0,3,1],[0,1,3]]},"m0":1,"steps":[{"clamps":[],'
+    '"k":[0,-1],"output":{"N":2,"degree":[0,1],"mults":[[0,3,1],[0,0,3]]},"pivot":[1,1,1],'
+    '"refs":[],"removed":null,"rule":"cremona_iso","scale":null,"threshold":1,"witness":null},'
+    '{"clamps":[],"k":null,"output":"empty","pivot":null,"refs":[],"removed":null,'
+    '"rule":"contradiction","scale":null,"threshold":1,"witness":0}],"version":1}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, rule", [(DEGREE_DROP_CERT, "degree_drop"), (CREMONA_CERT, "cremona_iso")],
+    ids=["degree_drop", "cremona_iso"],
+)
+def test_verify_rejects_rules_no_prover_emits(text, rule):
+    code, out, err = invoke_stdin(["verify", "--cert", "-"], text)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "failed_step": 0, "reason": f"unknown rule {rule!r}"}
+
+
 def test_module_entry_point_exits_with_the_verdict(tmp_path):
     _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
     doc = json.loads(out)
@@ -189,6 +216,25 @@ def test_prove_empty_rejects_loose_script_nodes(tmp_path, node):
     )
     assert (code, out) == (70, "")
     assert json.loads(err)["kind"] == "ReductionError"
+
+
+@pytest.mark.parametrize(
+    "pivots, error",
+    [([[0.0, 0, 0, 0, 0]], "script pivot 0 index must be an integer, got float"),
+     ([["a", 0, 0, 0, 0]], "script pivot 0 index must be an integer, got str"),
+     ([[0, 0, 0, 0, 0], [True, 0, 0, 0, 0]], "script pivot 1 index must be an integer, got bool"),
+     ([5], "script pivot 0 must be a list"),
+     (5, "script pivots must be a list")],
+    ids=["float-index", "string-index", "bool-index", "int-pivot", "int-pivots"],
+)
+def test_prove_empty_rejects_loosely_typed_pivots(tmp_path, pivots, error):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"how": "pivots", "pivots": pivots}))
+    code, out, err = invoke(
+        ["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8", "--script", str(path)]
+    )
+    assert (code, out) == (70, "")
+    assert json.loads(err) == {"error": error, "kind": "ReductionError"}
 
 
 def test_prove_empty_rejects_loose_merge_branches(tmp_path):

@@ -26,6 +26,7 @@ from fatpoints.reduction import (
     verify_certificate,
 )
 from helpers import pivot_matching, sysb
+from test_acceptance import _mutations
 
 A = AffineValue
 
@@ -334,6 +335,88 @@ def test_standalone_clamp_rule():
         "steps": [clamp, contra],
     }
     assert verify_certificate(certificate_from_dict(doc))
+
+
+# the (failed_step, reason) that verification reports for each criterion-9
+# mutation; a refactor of the replay must keep every one
+MUTATION_REASONS = {
+    "claim multiplicity +1": (0, "stored k -m-3 differs from replayed -m-8"),
+    "claim degree slope +1": (0, "stored k -m-3 differs from replayed 2m-3"),
+    "step0 shift k tampered": (0, "stored k -m-4 differs from replayed -m-3"),
+    "step0 output degree tampered": (0, "stored output does not match replay"),
+    "step1 k tampered": (1, "stored k -2m-5 differs from replayed -2m-6"),
+    "step1 output count tampered": (1, "stored output does not match replay"),
+    "step2 clamp threshold tampered": (2, "stored clamp records differ from replay"),
+    "step2 clamped run altered": (2, "stored output does not match replay"),
+    "witness index out of range": (3, "contradiction witness index out of range"),
+    "final threshold lowered": (3, "stored threshold 0, replay needs 1"),
+    "certificate m0 below one": (0, "m0 must be >= 1"),
+    "pivot swapped to a smaller point": (0, "stored k -21m-3 differs from replayed -11m-3"),
+    "k intercept tampered": (0, "stored k -21m-2 differs from replayed -21m-3"),
+    "witness moved to a clamped run": (
+        1, "witness multiplicity does not eventually exceed the degree"),
+    "claim count tampered": (0, "stored output does not match replay"),
+    "mid-chain output degree tampered": (1, "stored output does not match replay"),
+    "final threshold raised": (2, "step threshold 6 exceeds certificate m0 1"),
+    "axiom scale tampered": (0, "axiom claim needs 3^4 points, has 16"),
+    "merge removal index tampered": (
+        0, "removed multiplicity must equal first claim's degree + 1"),
+    "nested reference claim tampered": (
+        0, "first sub-certificate fails at step 0: axiom degree must be scale*multiplicity - 1"),
+}
+
+
+def test_verify_reasons_of_the_tamper_suite():
+    seen = {}
+    for label, data, _ in _mutations():
+        res = verify_certificate(certificate_from_dict(data))
+        seen[label] = (res.ok, res.failed_step, res.reason)
+    assert seen == {label: (False, *want) for label, want in MUTATION_REASONS.items()}
+
+
+def _plane_merge():
+    grid = evain_certificate(2, 2, (1, 0))
+    return merge_empty(grid, prove_empty(sysb(2, (2, -1), ((2, 0), 2))))
+
+
+def _first_step(data):
+    return data["steps"][0]
+
+
+@pytest.mark.parametrize(
+    "cert, edit, reason",
+    [
+        (_plane_merge, lambda d: _first_step(d).update(removed=5),
+         "merge removal index out of range"),
+        (_plane_merge, lambda d: _first_step(d).update(refs=_first_step(d)["refs"][:1]),
+         "merge step needs exactly two sub-certificates"),
+        (_plane_merge, lambda d: _first_step(d).update(refs=_first_step(d)["refs"][::-1]),
+         "removed multiplicity must equal first claim's degree + 1"),
+        (_plane_merge, lambda d: _first_step(d)["refs"][1]["claim"].update(degree=[2, 0]),
+         "second sub-certificate fails at step 0: "
+         "witness multiplicity does not eventually exceed the degree"),
+        (_plane_merge, lambda d: d["claim"]["mults"].__setitem__(1, [1, 0, 5]),
+         "merged claim does not match the step input"),
+        (lambda: evain_certificate(2, 2, (1, 0)),
+         lambda d: d["claim"].update(mults=[[1, 0, 3], [2, 0, 1]]),
+         "axiom claim must have a single multiplicity value"),
+        (lambda: evain_certificate(2, 2, (1, 0)), lambda d: d["claim"].update(mults=[]),
+         "axiom claim must have a single multiplicity value"),
+        (lambda: evain_certificate(2, 2, (1, 0)), lambda d: _first_step(d).update(scale=1),
+         "axiom scale must be >= 2"),
+        (lambda: evain_certificate(2, 2, (1, 0)), lambda d: _first_step(d).update(scale=None),
+         "axiom scale must be >= 2"),
+    ],
+    ids=["removal-out-of-range", "one-ref", "swapped-refs", "bad-second-ref",
+         "wrong-merged-count", "evain-two-runs", "evain-no-runs", "evain-scale-1",
+         "evain-scale-null"],
+)
+def test_verify_reasons_of_merge_and_axiom_tampers(cert, edit, reason):
+    data = certificate_to_dict(cert())
+    assert verify_certificate(certificate_from_dict(data))
+    edit(data)
+    res = verify_certificate(certificate_from_dict(data))
+    assert (res.ok, res.failed_step, res.reason) == (False, 0, reason)
 
 
 # ---------------------------------------------------------------------------
