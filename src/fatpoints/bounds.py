@@ -212,10 +212,12 @@ class _CandidateTable:
     def __init__(self, n: int, facts: tuple[WaldschmidtFact, ...]) -> None:
         self.n = n
         self.facts = facts
-        self.small_counts = [
-            (s0, value, ProofTree(RULE_SMALL_COUNT, value, (("n", n), ("s", s0), ("case", case))))
-            for case, (s0, value) in _small_counts(n).items()
-        ]
+        self.small_counts = []
+        for case, (s0, value) in _small_counts(n).items():
+            inner = ProofTree(
+                RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case))
+            )
+            self.small_counts.append((s0, value, inner))
 
         self.certified = []
         for fact in facts:

@@ -54,7 +54,13 @@ RULE_CLAMP = "clamp_nonpositive"
 RULE_CONTRADICTION = "contradiction"
 RULE_EVAIN = "evain_axiom"
 
-_RULES = {RULE_MERGE, RULE_REDUCE, RULE_CLAMP, RULE_CONTRADICTION, RULE_EVAIN}
+_RULES = {
+    RULE_MERGE,
+    RULE_REDUCE,
+    RULE_CLAMP,
+    RULE_CONTRADICTION,
+    RULE_EVAIN,
+}
 
 
 class ReductionError(Exception):
@@ -443,8 +449,11 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
 
 
 def _replay_step(step: ReductionStep):
-    """Recompute a step from its input and side data: returns
-    (output_or_None, required_threshold) or raises ReductionError."""
+    """Recompute a step from its input and side data.
+
+    Returns (output_or_None, required_threshold), or raises ReductionError
+    (a failing merge sub-certificate included).
+    """
     sys = step.input
     if step.rule == RULE_REDUCE:
         if step.pivot is None:
@@ -513,7 +522,8 @@ def _replay_step(step: ReductionStep):
             raise ReductionError("removed multiplicity must equal first claim's degree + 1")
         if _merged_claim(cert_a, cert_b, step.removed) != sys:
             raise ReductionError("merged claim does not match the step input")
-        return None, max(cert_a.m0, cert_b.m0)
+        threshold = max(cert_a.m0, cert_b.m0)
+        return None, threshold
 
     raise ReductionError(f"unknown rule {step.rule!r}")
 
