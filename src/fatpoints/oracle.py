@@ -27,7 +27,12 @@ the scan for s at the largest alpha recorded for a smaller s at the same
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
 blocked kernel: int64 panel factorization, float64 BLAS trailing updates.  A
 64-wide panel's products stay exact in float64 with the multipliers as one
-limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.
+limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.  Reduction mod p is
+delayed: trailing entries are integers below 2^53 in magnitude, reduced only
+where a residue is needed (panel columns, pivot rows) and, as a whole block,
+once the updates since the last reduction reach a budget computed from p
+(63 at 2^31 - 1, 2 at FAST_PRIME).  `_reduce_mod` reduces with a multiply by
+1/p and a floor, not `np.remainder`, and proves its quotient correction.
 """
 from __future__ import annotations
 
@@ -131,47 +136,112 @@ def matrix_rank_mod(a: np.ndarray, p: int) -> int:
     return _rank_float_panels(a, p) if a.size else 0
 
 
-def _matmul_mod(limbs: list[np.ndarray], u: np.ndarray, p: int) -> np.ndarray:
-    """Exact float64 (multipliers @ u) up to multiples of p, below 2^53, for
-    at most _PANEL rows of u with entries in [0, p).
+def _reduce_mod(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
+    """x mod p in place, for float64 integers |x| < 2^53; `scratch` is a flat
+    float64 buffer of at least x.size entries.
 
-    One limb: the product itself, below 64 p^2 < 2^53.  Two limbs (hi < 2^15,
-    lo < 2^16): each product is below 64 * 2^16 * 2^31 = 2^53 and is reduced
-    before the recombination (hi@u mod p) * 2^16 + (lo@u mod p) < 2^48;
-    adding the unreduced lo@u instead could pass 2^53.
+    q = floor(x * fl(1/p)) is floor(x/p) + e with e in {-1, 0, 1}: rounding
+    1/p and the product errs by under |x/p| * (2^-52 + 2^-106) < 2/p <= 1.
+    x - q*p is then computed exactly as (x - q) - q*(p - 1): q has the sign
+    of x and |q| <= |x|, so |x - q| <= |x|; q*(p - 1) is an even integer (or
+    q, for p = 2) below 2^53 + 2p <= 2^54 in magnitude, so it is a float64;
+    and x - q*p lies in [-p, 2p).  One conditional +p and one -p finish.
+    (q*p itself can pass -2^53 and round when x is near -2^53.)
     """
-    if len(limbs) == 1:
-        return limbs[0] @ u
-    hi, lo = (x @ u for x in limbs)
-    np.remainder(hi, p, out=hi)
-    np.remainder(lo, p, out=lo)
-    hi *= 1 << 16
-    hi += lo
-    return hi
+    q = np.multiply(x, 1.0 / p, out=scratch[: x.size].reshape(x.shape))
+    np.floor(q, out=q)
+    x -= q
+    q *= p - 1
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def _update_budget(p: int) -> tuple[bool, int, int]:
+    """(two_limbs, bound, budget): every delayed update subtracts an integer
+    in [0, bound), and `budget` is the largest k with p + k*bound < 2^53.
+
+    One limb while 64 p^2 < 2^53: a panel product sums at most 64 terms up
+    to (p - 1)^2, so bound = 64 p^2; the largest such p is 11863283, where
+    p + bound < 2^53 still holds, so the budget is at least 1.  Otherwise two
+    16-bit limbs, each product reduced into [0, p) before recombination, so
+    the update is at most (p - 1) * 2^16 + (p - 1) < p * 2^16 + p = bound.
+    At 2^31 - 1 the budget is 63 updates, at FAST_PRIME 2.
+    """
+    bound = _PANEL * p * p
+    two_limbs = bound >= 1 << 53
+    if two_limbs:
+        bound = p * ((1 << 16) + 1)
+    return two_limbs, bound, ((1 << 53) - 1 - p) // bound
+
+
+def _limbs(f: np.ndarray, two_limbs: bool) -> list[np.ndarray]:
+    """Float64 residues in [0, p) as limbs: f itself, or (f >> 16, f & 0xFFFF),
+    split in place (each step is exact)."""
+    if not two_limbs:
+        return [f]
+    lo = np.fmod(f, 1 << 16)
+    f -= lo
+    f *= 2.0**-16
+    return [f, lo]
+
+
+def _matmul_mod(out: np.ndarray, limbs: list[np.ndarray], u: np.ndarray, p: int,
+                scratch: np.ndarray) -> None:
+    """out -= limbs @ u up to a multiple of p, for at most _PANEL rows of u
+    with entries in [0, p): the subtracted integer lies in [0, bound) of
+    `_update_budget`.  `scratch` holds out.size float64s per limb.
+
+    Every partial sum is exact: one limb sums at most 64 terms below p^2,
+    under 64 p^2 < 2^53; two limbs (hi < 2^15, lo < 2^16) sum terms below
+    2^46 and 2^47, under 2^53, and each product is reduced before hi is
+    scaled by 2^16 (adding the unreduced lo product could pass 2^53).
+    """
+    prod = scratch[: out.size].reshape(out.shape)
+    for k, limb in enumerate(limbs):
+        np.matmul(limb, u, out=prod)
+        if len(limbs) == 2:
+            _reduce_mod(prod, p, scratch[out.size :])
+            if k == 0:
+                prod *= 1 << 16
+        out -= prod
 
 
 def _rank_float_panels(a: np.ndarray, p: int) -> int:
     """Blocked elimination: int64 panel factorization, float64 BLAS trailing
-    updates.
+    updates with delayed reduction.
 
-    Entries stay in [0, p).  Multipliers live in the zeroed panel entries
-    (classic LU layout); each panel costs a forward solve for its own pivot
-    rows plus one limb-split matmul per column chunk of the trailing block,
-    reduced in place.  Panel arithmetic and pivot-row scaling stay in int64,
-    where products of two residues are below 2^62.
+    Invariant: every entry of m is an integer below 2^53 in magnitude; an
+    entry of the trailing block, after k updates since its last reduction,
+    lies in (-k * bound, p).  Reduction happens only where a residue is
+    needed: the next panel's columns before the int64 cast, the pivot rows
+    before they are an operand, and the whole trailing block once k reaches
+    the budget of `_update_budget`, so p + k * bound < 2^53 always holds.
+    `pending` counts the updates since the whole block was last reduced (or
+    since the start); at 0 nothing needs reducing.
+
+    Multipliers live in the zeroed panel entries (classic LU layout).  Per
+    panel, the nw pivot rows R and their eliminated form U satisfy R = T U,
+    T = L D lower triangular with the pivots D on its diagonal and the
+    stored multipliers below it.  So U = X R for X = T^-1 mod p, built once
+    in int64 (products of two residues are below 2^62) and applied as one
+    limb matmul per column chunk, followed by one limb matmul of the chunk's
+    trailing rows against U.
     """
-    two_limbs = _PANEL * p * p >= 1 << 53
+    two_limbs, _, budget = _update_budget(p)
     m = np.empty(a.shape, dtype=np.float64)
     np.remainder(a, p, out=m)
     rows, cols = m.shape
-    rank = 0
-    col = 0
+    scratch = None
+    rank = col = pending = 0
     while rank < rows and col < cols:
         hi = min(col + _PANEL, cols)
         width = hi - col
         r0 = rank
         nloc = rows - r0
-        block = m[r0:, col:hi].astype(np.int64)
+        panel = m[r0:, col:hi]
+        block = (_reduce_mod(panel, p, scratch) if pending else panel).astype(np.int64)
         piv_cols: list[int] = []
         invs: list[int] = []
         nw = 0
@@ -198,21 +268,36 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
             if nw == nloc:
                 break
         rank = r0 + nw
-        if nw and hi < cols:
-            mult = block[:, piv_cols]
-            parts = (mult >> 16, mult & 0xFFFF) if two_limbs else (mult,)
-            lower = [x.astype(np.float64) for x in parts]
-            # pivot rows: subtract earlier panel pivots, then scale
-            for t in range(nw):
-                row = m[r0 + t, hi:]
-                if t and mult[t, :t].any():
-                    row -= _matmul_mod([x[t, :t] for x in lower], m[r0 : r0 + t, hi:], p)
-                    np.remainder(row, p, out=row)
-                row[:] = row.astype(np.int64) * invs[t] % p
+        if nw and rank < rows and hi < cols:
+            # X = T^-1 = D^-1 L^-1 for the unit lower triangular L = T D^-1:
+            # L^-1 by forward elimination on the identity, then rows times D^-1
+            d_inv = np.array(invs, dtype=np.int64)
+            ell = block[:nw, piv_cols]
+            ell *= d_inv
+            ell %= p
+            x = np.eye(nw, dtype=np.int64)
+            for t in range(nw - 1):
+                rest = x[t + 1 :, : t + 1]
+                rest[:] = (rest - ell[t + 1 :, t, None] * x[t, : t + 1]) % p
+            x *= -d_inv[:, None]
+            x %= p
+            solve = _limbs(x.astype(np.float64), two_limbs)
+            lower = _limbs(block[nw:, piv_cols].astype(np.float64), two_limbs)
+            if scratch is None:  # sized for the first update, the largest
+                size = max(rows - rank, nw) * min(cols - hi, _UPDATE_COLS)
+                scratch = np.empty((1 + two_limbs) * size)
             for c0 in range(hi, cols, _UPDATE_COLS):
+                pivots = m[r0:rank, c0 : c0 + _UPDATE_COLS]
+                if pending:
+                    _reduce_mod(pivots, p, scratch)
+                u = np.zeros(pivots.shape)
+                _matmul_mod(u, solve, pivots, p, scratch)  # solve holds -X: u = X R
+                pivots[:] = _reduce_mod(u, p, scratch)
                 seg = m[rank:, c0 : c0 + _UPDATE_COLS]
-                seg -= _matmul_mod([x[nw:] for x in lower], m[r0:rank, c0 : c0 + _UPDATE_COLS], p)
-                np.remainder(seg, p, out=seg)
+                _matmul_mod(seg, lower, pivots, p, scratch)
+                if pending + 1 == budget:
+                    _reduce_mod(seg, p, scratch)
+            pending = (pending + 1) % budget
         col = hi
     return rank
 

@@ -21,7 +21,9 @@ A certificate is a chain of steps under five rules:
   the degree), an `evain_axiom` instance, or a `merge_empty` of two
   previously certified claims.
 
-Certificates serialize to canonical JSON and replay exactly.
+Certificates serialize to canonical JSON and replay exactly.  A step sets
+only the side fields its rule reads; the verifier rejects any other field
+that does not hold its default.
 """
 
 from __future__ import annotations
@@ -54,12 +56,17 @@ RULE_CLAMP = "clamp_nonpositive"
 RULE_CONTRADICTION = "contradiction"
 RULE_EVAIN = "evain_axiom"
 
+# the side fields each rule reads; a step leaves every other one at its default
 _RULES = {
-    RULE_MERGE,
-    RULE_REDUCE,
-    RULE_CLAMP,
-    RULE_CONTRADICTION,
-    RULE_EVAIN,
+    RULE_MERGE: {"refs", "removed"},
+    RULE_REDUCE: {"pivot", "k", "clamps"},
+    RULE_CLAMP: {"clamps"},
+    RULE_CONTRADICTION: {"witness"},
+    RULE_EVAIN: {"scale"},
+}
+_SIDE_DEFAULTS = {
+    "pivot": None, "k": None, "clamps": (), "witness": None, "removed": None, "scale": None,
+    "refs": (),
 }
 
 
@@ -407,7 +414,8 @@ def _scripted_branch(spec: Mapping[str, Any]) -> Certificate | None:
 
 
 def verify_certificate(cert: Certificate) -> VerificationResult:
-    """Replay every step: side data must reproduce outputs exactly, every
+    """Replay every step: side data must reproduce outputs exactly, side
+    fields the rule does not read must hold their defaults, every
     eventual-sign precondition must hold with the stored threshold, and the
     chain must end in an empty verdict covered by the certificate's m0."""
 
@@ -423,6 +431,9 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
     for i, step in enumerate(cert.steps):
         if step.rule not in _RULES:
             return fail(i, f"unknown rule {step.rule!r}")
+        for name, default in _SIDE_DEFAULTS.items():
+            if name not in _RULES[step.rule] and getattr(step, name) != default:
+                return fail(i, f"{step.rule} step must leave {name} unset")
         if step.input != current:
             return fail(i, "step input does not chain from the previous system")
         if step.threshold > cert.m0:

@@ -152,6 +152,28 @@ def test_verify_rejects_rules_no_prover_emits(text, rule):
     assert json.loads(out) == {"ok": False, "failed_step": 0, "reason": f"unknown rule {rule!r}"}
 
 
+@pytest.mark.parametrize(
+    "step, edit, reason",
+    [
+        (3, {"pivot": [0, 1], "k": [7, 7], "scale": 99},
+         "contradiction step must leave pivot unset"),
+        (3, {"k": [7, 7]}, "contradiction step must leave k unset"),
+        (3, {"scale": 99}, "contradiction step must leave scale unset"),
+        (0, {"witness": 5, "removed": 3}, "reduce_full step must leave witness unset"),
+        (0, {"removed": 3}, "reduce_full step must leave removed unset"),
+    ],
+    ids=["contradiction-pivot-k-scale", "contradiction-k", "contradiction-scale",
+         "reduce-witness-removed", "reduce-removed"],
+)
+def test_verify_rejects_side_fields_the_rule_does_not_read(step, edit, reason):
+    _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
+    doc = json.loads(out)
+    doc["steps"][step].update(edit)
+    code, text, err = invoke_stdin(["verify", "--cert", "-"], json.dumps(doc))
+    assert (code, err) == (1, "")
+    assert json.loads(text) == {"ok": False, "failed_step": step, "reason": reason}
+
+
 def test_module_entry_point_exits_with_the_verdict(tmp_path):
     _, out, _ = invoke(["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8"])
     doc = json.loads(out)

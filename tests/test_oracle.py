@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from fatpoints.oracle import (
     OracleConfig,
     OracleError,
     _conditions_matrix,
+    _is_probable_prime,
     _monomial_exponents,
+    _reduce_mod,
+    _update_budget,
     alpha_symbolic_power,
     clear_alpha_floors,
     linear_system_dim,
@@ -27,6 +31,8 @@ CFG = OracleConfig(seed=11)
 FAST = OracleConfig(prime=FAST_PRIME, seed=11)
 # one-limb prime, and two two-limb primes just below 2^31
 RANK_PRIMES = (FAST_PRIME, DEFAULT_PRIME, 2147483629)
+# the largest prime with 64 p^2 < 2^53, whose kernel still takes one limb
+LAST_ONE_LIMB_PRIME = next(p for p in range(11863283, 0, -2) if _is_probable_prime(p))
 
 
 def test_classical_plane_systems():
@@ -187,6 +193,110 @@ def test_rank_at_the_float64_exactness_bound():
         # a random tail leaves a full-rank residual
         a[64:, 64:] = rng.integers(0, p, size=(extra_rows, extra_cols))
         assert matrix_rank_mod(a, p) == reference_rank(a, p) == 64 + extra_rows
+
+
+def test_reduce_mod_matches_python_mod():
+    rng = np.random.default_rng(29)
+    top = (1 << 53) - 1
+    for p in RANK_PRIMES + (3, 65521):
+        edge = [0, 1, p - 1, p, top]
+        for k in (1, 2, 3, 1000, (top - 1) // p):
+            edge += [k * p - 1, k * p + 1]
+        values = [sign * v for v in edge for sign in (1, -1)]
+        values += rng.integers(-top, top, size=4000, endpoint=True).tolist()
+        # within a few p of +-2^53, where q*p itself need not be a float64
+        values += [sign * int(v) for v in rng.integers(top - 4 * p, top, size=500, endpoint=True)
+                   for sign in (1, -1)]
+        want = [v % p for v in values]
+        x = np.array(values, dtype=np.float64)
+        assert x.astype(np.int64).tolist() == values  # every value is exact
+        assert _reduce_mod(x.copy(), p, np.empty(x.size)).astype(np.int64).tolist() == want
+        # in place on a strided column, through a caller's scratch buffer
+        block = np.zeros((x.size, 3))
+        block[:, 1] = x
+        _reduce_mod(block[:, 1], p, np.empty(x.size + 7))
+        assert block[:, 1].astype(np.int64).tolist() == want
+        assert not block[:, [0, 2]].any()
+
+
+def test_update_budget_is_the_largest_that_fits():
+    for p in RANK_PRIMES + (3, 65521, LAST_ONE_LIMB_PRIME):
+        two_limbs, bound, budget = _update_budget(p)
+        assert two_limbs == (64 * p * p >= 1 << 53)
+        assert bound == (p * (1 << 16) + p if two_limbs else 64 * p * p)
+        assert budget >= 1
+        assert p + budget * bound < 1 << 53 <= p + (budget + 1) * bound
+    assert not _update_budget(LAST_ONE_LIMB_PRIME)[0]
+    assert _update_budget(DEFAULT_PRIME)[2] == 63 and _update_budget(FAST_PRIME)[2] == 2
+
+
+def exact_product_mod(left, right, p):
+    """left @ right mod p for residues below 2^31, from 16-bit limbs of both
+    factors: each limb product sums inner terms below 2^32, under 2^53 for
+    inner < 2^21, so float64 matmul is exact; the limbs recombine in int64."""
+    ll, rl = (left & 0xFFFF).astype(np.float64), (right & 0xFFFF).astype(np.float64)
+    lh, rh = (left >> 16).astype(np.float64), (right >> 16).astype(np.float64)
+
+    def prod(a, b):
+        return (a @ b).astype(np.int64) % p
+
+    high = prod(lh, rh) * ((1 << 32) % p) % p
+    mid = (prod(lh, rl) + prod(ll, rh)) * (1 << 16) % p
+    return (high + mid + prod(ll, rl)) % p
+
+
+def rank_by_construction(rng, rows, cols, rank, p):
+    """P (L U) Q mod p with L rows x rank, U rank x cols: L has a unit lower
+    triangular top block, U a unit upper triangular left block, both random
+    elsewhere, so both have full rank and their product has rank `rank`."""
+    left = rng.integers(0, p, size=(rows, rank))
+    left[:rank] = np.tril(left[:rank], -1) + np.eye(rank, dtype=np.int64)
+    right = rng.integers(0, p, size=(rank, cols))
+    right[:, :rank] = np.triu(right[:, :rank], 1) + np.eye(rank, dtype=np.int64)
+    a = exact_product_mod(left, right, p)
+    return a[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def test_multi_panel_ranks_known_by_construction():
+    # 10 to 15 panels, so dozens of delayed updates between whole-block
+    # reductions, with pivotless columns wherever the rank falls short
+    rng = np.random.default_rng(41)
+    shapes = [(700, 700, 700), (700, 700, 650), (700, 700, 600),
+              (960, 640, 600), (640, 960, 600)]
+    for p in (DEFAULT_PRIME, 2147483629):
+        for rows, cols, rank in shapes:
+            a = rank_by_construction(rng, rows, cols, rank, p)
+            assert matrix_rank_mod(a, p) == rank, (p, rows, cols, rank)
+    # one limb, whose budget of 2 reduces the whole block every other panel
+    a = rank_by_construction(rng, 700, 700, 650, FAST_PRIME)
+    assert matrix_rank_mod(a, FAST_PRIME) == 650
+
+
+def test_rank_past_the_update_budget():
+    # one pivot per panel: the pivot of row i sits in column 64 i, so each
+    # panel is one delayed update.  130 of them pass the budget of 63 at
+    # 2^31 - 1 twice; without the whole-block reductions, the entries pass
+    # 2^53 and the rank comes out wrong
+    rng = np.random.default_rng(43)
+    p, panels = DEFAULT_PRIME, 130
+    assert _update_budget(p)[2] < panels
+    right = rng.integers(0, p, size=(panels, 64 * panels))
+    right[np.arange(64 * panels) < 64 * np.arange(panels)[:, None]] = 0
+    right[np.arange(panels), 64 * np.arange(panels)] = 1
+    left = rng.integers(0, p, size=(panels + 4, panels))
+    left[:panels] = np.tril(left[:panels], -1) + np.eye(panels, dtype=np.int64)
+    a = exact_product_mod(left, right, p)[rng.permutation(panels + 4)]
+    assert matrix_rank_mod(a, p) == panels
+
+
+def test_quadric_through_nine_points_is_special():
+    # Q^8 for the quadric Q through 9 general points of P^3: degree 16 with
+    # nine points of multiplicity 8 has virtual dimension -111, but holds Q^8
+    assert comb(16 + 3, 3) - 9 * comb(8 + 2, 3) == -111
+    assert expected_dimension(sysb(3, 16, (8, 9)), 1) == 0
+    for config in (CFG, FAST):
+        report = linear_system_dim(3, 16, [8] * 9, config)
+        assert report.dims == (1, 1, 1)
 
 
 def reference_point_rows(point, mult, d, p):

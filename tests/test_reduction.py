@@ -309,8 +309,8 @@ def test_verify_checks_m0_floor():
     assert not res and res.failed_step == 0
 
 
-def test_standalone_clamp_rule():
-    # hand-built: zero out an eventually-nonpositive run
+def _clamp_certificate():
+    """Hand-built: zero out an eventually-nonpositive run, then contradict."""
     cert = prove_empty(sysb(2, (2, -1), ((2, 0), 2)))
     data = certificate_to_dict(cert)
     before = {"N": 2, "degree": [2, -1], "mults": [[2, 0, 2], [-1, 2, 1]]}
@@ -328,13 +328,67 @@ def test_standalone_clamp_rule():
         "threshold": 2,
     }
     contra = data["steps"][-1]
-    doc = {
+    return {
         "version": 1,
         "claim": before,
         "m0": 2,
         "steps": [clamp, contra],
     }
-    assert verify_certificate(certificate_from_dict(doc))
+
+
+def test_standalone_clamp_rule():
+    assert verify_certificate(certificate_from_dict(_clamp_certificate()))
+
+
+# the side fields each rule reads; every other one must keep its default
+RULE_FIELDS = {
+    "reduce_full": {"pivot", "k", "clamps"},
+    "clamp_nonpositive": {"clamps"},
+    "contradiction": {"witness"},
+    "evain_axiom": {"scale"},
+    "merge_empty": {"refs", "removed"},
+}
+
+
+def _side_values():
+    """A non-default value for every side field."""
+    return {
+        "pivot": [0, 1],
+        "k": [7, 7],
+        "clamps": [{"index": 0, "value": [0, 0], "threshold": 1}],
+        "witness": 5,
+        "removed": 3,
+        "scale": 99,
+        "refs": [certificate_to_dict(evain_certificate(2, 2, (1, 0)))],
+    }
+
+
+def _one_step_per_rule():
+    """(certificate dict, step index) for a valid step of every rule."""
+    eight = certificate_to_dict(prove_empty(EIGHT_POINT_ROWS[0]))
+    return [
+        (eight, 0),
+        (_clamp_certificate(), 0),
+        (eight, 3),
+        (certificate_to_dict(evain_certificate(2, 2, (1, 0))), 0),
+        (certificate_to_dict(_plane_merge()), 0),
+    ]
+
+
+def test_verify_rejects_side_fields_the_rule_does_not_read():
+    cases = _one_step_per_rule()
+    assert {data["steps"][i]["rule"] for data, i in cases} == set(RULE_FIELDS)
+    for data, i in cases:
+        assert verify_certificate(certificate_from_dict(data))
+        rule = data["steps"][i]["rule"]
+        for field, value in _side_values().items():
+            if field in RULE_FIELDS[rule]:
+                continue
+            bad = json.loads(json.dumps(data))
+            bad["steps"][i][field] = value
+            res = verify_certificate(certificate_from_dict(bad))
+            assert (res.ok, res.failed_step, res.reason) == (
+                False, i, f"{rule} step must leave {field} unset"), (rule, field)
 
 
 # the (failed_step, reason) that verification reports for each criterion-9
