@@ -285,7 +285,8 @@ def _decompose_level(n: int, level: int) -> tuple[Fraction, tuple, tuple] | None
         ("a", ((a1.numerator, a1.denominator), (a2.numerator, a2.denominator))),
         ("scope", DECOMPOSE_SCOPE),
     )
-    return (1 - 1 / a1) * a2 + 1, params, (f1.derivation, f2.derivation)
+    value = decomposition_bound(n, [(r1, a1), (r2, a2)], 1)
+    return value, params, (f1.derivation, f2.derivation)
 
 
 _tables: dict[int, _CandidateTable] = {}

@@ -65,8 +65,6 @@ def _mults(text: str) -> list[tuple[AffineValue, int]]:
             raise argparse.ArgumentTypeError(f"expected VALUE:COUNT, got {item!r}")
         try:
             out.append((_affine(value), int(count)))
-        except argparse.ArgumentTypeError:
-            raise
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad count in {item!r}")
     if not out:

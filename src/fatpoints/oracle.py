@@ -43,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import binomial
+from .core import FatPointSystem, binomial
+from .reduction import system_to_dict
 
 DEFAULT_PRIME = (1 << 31) - 1
 # a prime with 64 * p^2 < 2^53, whose rank kernel needs one limb, not two
@@ -85,14 +86,9 @@ class OracleReport:
     seed: int
 
     def to_dict(self) -> dict:
-        runs: list[list[int]] = []
-        for m in sorted(self.mults, reverse=True):
-            if runs and runs[-1][1] == m:
-                runs[-1][2] += 1
-            else:
-                runs.append([0, m, 1])
+        system = FatPointSystem.build(self.n, self.degree, [(m, 1) for m in self.mults])
         return {
-            "system": {"N": self.n, "degree": [0, self.degree], "mults": runs},
+            "system": system_to_dict(system),
             "p": self.prime,
             "trials": self.trials,
             "seed": self.seed,

@@ -10,26 +10,25 @@ step records them:
   negative, those n multiplicities and the degree drop by one without
   changing the dimension.
 
-A certificate is a chain of steps under five rules:
+A certificate is a chain of steps under four rules, each a prover's move:
 
 * `reduce_full` applies the shift with eventually-negative results clamped
   to 0: nonzero input implies nonzero output, so an empty output certifies
   an empty input;
-* `clamp_nonpositive` stores eventually-nonpositive multiplicities as 0
-  (accepted from hand-built certificates; the prover never emits it);
 * the chain ends in a `contradiction` (some multiplicity eventually exceeds
   the degree), an `evain_axiom` instance, or a `merge_empty` of two
   previously certified claims.
 
-Certificates serialize to canonical JSON and replay exactly.  A step sets
-only the side fields its rule reads; the verifier rejects any other field
-that does not hold its default.
+Certificates serialize to canonical JSON and replay exactly; the parser
+accepts only a document that re-encodes to itself.  A step sets only the
+side fields its rule reads; the verifier rejects any other field that does
+not hold its default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from .core import (
@@ -49,10 +48,12 @@ from .core import (
 )
 
 FORMAT_VERSION = 1
+MAX_NESTING = 32  # levels of merge references, the top certificate's included
+MAX_REASON = 2000  # characters in the reason of a failed verification
+GREEDY_BUDGET = 64  # reducing steps greedy proof search tries
 
 RULE_MERGE = "merge_empty"
 RULE_REDUCE = "reduce_full"
-RULE_CLAMP = "clamp_nonpositive"
 RULE_CONTRADICTION = "contradiction"
 RULE_EVAIN = "evain_axiom"
 
@@ -60,13 +61,8 @@ RULE_EVAIN = "evain_axiom"
 _RULES = {
     RULE_MERGE: {"refs", "removed"},
     RULE_REDUCE: {"pivot", "k", "clamps"},
-    RULE_CLAMP: {"clamps"},
     RULE_CONTRADICTION: {"witness"},
     RULE_EVAIN: {"scale"},
-}
-_SIDE_DEFAULTS = {
-    "pivot": None, "k": None, "clamps": (), "witness": None, "removed": None, "scale": None,
-    "refs": (),
 }
 
 
@@ -108,6 +104,11 @@ class ReductionStep:
     scale: int | None = None
     refs: tuple["Certificate", ...] = ()
     threshold: int = 1
+
+
+_SIDE_DEFAULTS = {
+    f.name: f.default for f in fields(ReductionStep) if f.name in set().union(*_RULES.values())
+}
 
 
 @dataclass(frozen=True)
@@ -258,14 +259,13 @@ def contradiction_step(sys: FatPointSystem) -> ReductionStep | None:
 def prove_empty(
     sys: FatPointSystem,
     strategy: str | Sequence[Sequence[int]] = "greedy",
-    budget: int = 64,
 ) -> Certificate | None:
     """Search for an emptiness certificate.
 
     "greedy" repeatedly reduces on the n+1 eventually-largest multiplicities
     while k stays eventually negative, stopping at the first contradiction.  A
     pivot list replays that explicit sequence instead.  Returns None on
-    failure (budget exhausted or no reducing move) -- not a disproof.
+    failure (GREEDY_BUDGET exhausted or no reducing move) -- not a disproof.
     """
     steps: list[ReductionStep] = []
     current = sys
@@ -276,7 +276,7 @@ def prove_empty(
         return Certificate(sys, tuple(steps), m0)
 
     if strategy == "greedy":
-        for _ in range(budget):
+        for _ in range(GREEDY_BUDGET):
             contra = contradiction_step(current)
             if contra is not None:
                 return finish(contra)
@@ -417,9 +417,12 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
     """Replay every step: side data must reproduce outputs exactly, side
     fields the rule does not read must hold their defaults, every
     eventual-sign precondition must hold with the stored threshold, and the
-    chain must end in an empty verdict covered by the certificate's m0."""
+    chain must end in an empty verdict covered by the certificate's m0.  A
+    reason longer than MAX_REASON characters is cut to that length."""
 
     def fail(i: int, reason: str) -> VerificationResult:
+        if len(reason) > MAX_REASON:
+            reason = reason[: MAX_REASON - 3] + "..."
         return VerificationResult(False, i, reason)
 
     if not cert.steps:
@@ -475,21 +478,6 @@ def _replay_step(step: ReductionStep):
         if step.clamps != replay.clamps:
             raise ReductionError("stored clamp records differ from replay")
         return replay.output, replay.threshold
-
-    if step.rule == RULE_CLAMP:
-        runs = list(sys.mults)
-        threshold = 1
-        for rec in step.clamps:
-            if not 0 <= rec.index < len(runs):
-                raise ReductionError("clamp index out of range")
-            if runs[rec.index].value != rec.value:
-                raise ReductionError("clamp record value differs from the input run")
-            t = nonpositive_threshold(rec.value)
-            if t is None or t != rec.threshold:
-                raise ReductionError("clamped value is not eventually <= 0 at its threshold")
-            threshold = max(threshold, t)
-            runs[rec.index] = Run(ZERO, runs[rec.index].count)
-        return FatPointSystem(sys.n, sys.degree, tuple(runs)), threshold
 
     if step.rule == RULE_CONTRADICTION:
         if step.witness is None or not 0 <= step.witness < len(sys.mults):
@@ -548,15 +536,9 @@ def _affine_to_list(v: AffineValue | None):
 
 
 # Parsing trusts nothing: every number must be a JSON integer (JSON true and
-# false parse as bool, a subclass of int) and every object must hold only the
-# keys its writer emits.
-_CERT_KEYS = frozenset({"version", "claim", "m0", "steps"})
+# false parse as bool, a subclass of int).  `--script` systems have no writer
+# to re-encode with, so system keys are checked by name.
 _SYSTEM_KEYS = frozenset({"N", "degree", "mults"})
-_STEP_KEYS = frozenset(
-    {"rule", "pivot", "k", "output", "refs", "clamps", "witness", "removed", "scale",
-     "threshold"}
-)
-_CLAMP_KEYS = frozenset({"index", "value", "threshold"})
 _SCRIPT_KEYS = {
     "greedy": frozenset({"how"}),
     "pivots": frozenset({"how", "pivots"}),
@@ -632,7 +614,6 @@ def _step_to_dict(step: ReductionStep) -> dict:
 
 
 def _clamp_from_dict(data: Mapping[str, Any]) -> ClampRecord:
-    _known_keys(data, _CLAMP_KEYS, "clamp")
     return ClampRecord(
         _int(data["index"], "clamp index"),
         _affine_from_list(data["value"]),
@@ -640,8 +621,9 @@ def _clamp_from_dict(data: Mapping[str, Any]) -> ClampRecord:
     )
 
 
-def _step_from_dict(data: Mapping[str, Any], input_sys: FatPointSystem) -> ReductionStep:
-    _known_keys(data, _STEP_KEYS, "step")
+def _step_from_dict(
+    data: Mapping[str, Any], input_sys: FatPointSystem, depth: int
+) -> ReductionStep:
     if not isinstance(data["rule"], str):
         raise ReductionError("step rule must be a string")
     pivot = None if data["pivot"] is None else _pivot_from_list(data["pivot"], "pivot")
@@ -656,7 +638,7 @@ def _step_from_dict(data: Mapping[str, Any], input_sys: FatPointSystem) -> Reduc
         witness=_optional_int(data["witness"], "witness"),
         removed=_optional_int(data["removed"], "removed"),
         scale=_optional_int(data["scale"], "scale"),
-        refs=tuple(certificate_from_dict(ref) for ref in data["refs"]),
+        refs=tuple(_certificate_from_dict(ref, depth + 1) for ref in data["refs"]),
         threshold=_int(data["threshold"], "step threshold"),
     )
 
@@ -671,15 +653,26 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: Mapping[str, Any]) -> Certificate:
-    _known_keys(data, _CERT_KEYS, "certificate")
+    """Parse a certificate; ReductionError if the document does not re-encode
+    to itself (an unknown key, an extra list entry, runs out of canonical
+    order) or nests merges more than MAX_NESTING levels deep."""
+    cert = _certificate_from_dict(data, 1)
+    if certificate_to_json(cert) != to_canonical_json(data):
+        raise ReductionError("certificate does not re-encode to itself")
+    return cert
+
+
+def _certificate_from_dict(data: Mapping[str, Any], depth: int) -> Certificate:
+    if depth > MAX_NESTING:
+        raise ReductionError(f"merges nest more than {MAX_NESTING} levels deep")
     version = data.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ReductionError(f"unsupported certificate version {version!r}")
+        raise ReductionError(f"unsupported certificate version {version!r:.40}")
     claim = system_from_dict(data["claim"])
     steps: list[ReductionStep] = []
     current = claim
     for raw in data["steps"]:
-        step = _step_from_dict(raw, current)
+        step = _step_from_dict(raw, current, depth)
         steps.append(step)
         current = step.output
     return Certificate(claim, tuple(steps), _int(data["m0"], "m0"))

@@ -26,6 +26,7 @@ from fatpoints.bounds import (
 from fatpoints.cli import EX_FALSE, EX_OK
 from fatpoints.core import AffineValue, FatPointSystem, binomial
 from fatpoints.facts import Profile, catalog
+from fatpoints.reduction import certificate_to_dict, evain_certificate
 
 
 def sysb(n, degree, *runs) -> FatPointSystem:
@@ -62,6 +63,17 @@ def shipped_certificates() -> list:
         for fact in catalog(n):
             walk(fact.certificate)
     return seen
+
+
+def nested_merges(doc: dict, depth: int) -> dict:
+    """Certificate dict `doc` as the second reference of `depth` nested
+    merges over a plane axiom; the innermost merge removes a run that its
+    first reference does not match."""
+    leaf = certificate_to_dict(evain_certificate(2, 2, (1, 0)))
+    for _ in range(depth):
+        step = dict(leaf["steps"][0], rule="merge_empty", refs=[leaf, doc], removed=0, scale=None)
+        doc = dict(leaf, steps=[step])
+    return doc
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,8 @@ import pytest
 
 from fatpoints.core import AffineValue, FatPointSystem
 from fatpoints.reduction import (
+    MAX_NESTING,
+    MAX_REASON,
     MergeError,
     PreconditionError,
     ReductionError,
@@ -25,7 +27,7 @@ from fatpoints.reduction import (
     system_to_dict,
     verify_certificate,
 )
-from helpers import pivot_matching, sysb
+from helpers import nested_merges, pivot_matching, sysb
 from test_acceptance import _mutations
 
 A = AffineValue
@@ -309,41 +311,9 @@ def test_verify_checks_m0_floor():
     assert not res and res.failed_step == 0
 
 
-def _clamp_certificate():
-    """Hand-built: zero out an eventually-nonpositive run, then contradict."""
-    cert = prove_empty(sysb(2, (2, -1), ((2, 0), 2)))
-    data = certificate_to_dict(cert)
-    before = {"N": 2, "degree": [2, -1], "mults": [[2, 0, 2], [-1, 2, 1]]}
-    after = {"N": 2, "degree": [2, -1], "mults": [[2, 0, 2], [0, 0, 1]]}
-    clamp = {
-        "rule": "clamp_nonpositive",
-        "pivot": None,
-        "k": None,
-        "output": after,
-        "refs": [],
-        "clamps": [{"index": 1, "value": [-1, 2], "threshold": 2}],
-        "witness": None,
-        "removed": None,
-        "scale": None,
-        "threshold": 2,
-    }
-    contra = data["steps"][-1]
-    return {
-        "version": 1,
-        "claim": before,
-        "m0": 2,
-        "steps": [clamp, contra],
-    }
-
-
-def test_standalone_clamp_rule():
-    assert verify_certificate(certificate_from_dict(_clamp_certificate()))
-
-
 # the side fields each rule reads; every other one must keep its default
 RULE_FIELDS = {
     "reduce_full": {"pivot", "k", "clamps"},
-    "clamp_nonpositive": {"clamps"},
     "contradiction": {"witness"},
     "evain_axiom": {"scale"},
     "merge_empty": {"refs", "removed"},
@@ -368,7 +338,6 @@ def _one_step_per_rule():
     eight = certificate_to_dict(prove_empty(EIGHT_POINT_ROWS[0]))
     return [
         (eight, 0),
-        (_clamp_certificate(), 0),
         (eight, 3),
         (certificate_to_dict(evain_certificate(2, 2, (1, 0))), 0),
         (certificate_to_dict(_plane_merge()), 0),
@@ -452,7 +421,7 @@ def _first_step(data):
         (_plane_merge, lambda d: d["claim"]["mults"].__setitem__(1, [1, 0, 5]),
          "merged claim does not match the step input"),
         (lambda: evain_certificate(2, 2, (1, 0)),
-         lambda d: d["claim"].update(mults=[[1, 0, 3], [2, 0, 1]]),
+         lambda d: d["claim"].update(mults=[[2, 0, 1], [1, 0, 3]]),
          "axiom claim must have a single multiplicity value"),
         (lambda: evain_certificate(2, 2, (1, 0)), lambda d: d["claim"].update(mults=[]),
          "axiom claim must have a single multiplicity value"),
@@ -503,6 +472,50 @@ def test_rejects_unknown_version():
     data["version"] = 99
     with pytest.raises(ReductionError):
         certificate_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "cert, edit",
+    [
+        (lambda: evain_certificate(2, 2, (1, 0)),
+         lambda d: d["claim"].update(mults=[[1, 0, 3], [2, 0, 1]])),
+        (lambda: evain_certificate(2, 2, (1, 0)),
+         lambda d: d["claim"].update(mults=[[1, 0, 2], [1, 0, 2]])),
+        (lambda: prove_empty(EIGHT_POINT_ROWS[0]),
+         lambda d: d["steps"][0]["output"]["mults"].reverse()),
+        (lambda: prove_empty(EIGHT_POINT_ROWS[0]), lambda d: d.update(note=1)),
+        (lambda: prove_empty(EIGHT_POINT_ROWS[0]), lambda d: d["steps"][1].update(note=1)),
+        (lambda: prove_empty(EIGHT_POINT_ROWS[0]),
+         lambda d: d["steps"][2]["clamps"][0].update(note=1)),
+        (_plane_merge, lambda d: _first_step(d)["refs"][1]["steps"][0].update(note=1)),
+    ],
+    ids=["runs-out-of-order", "unmerged-runs", "output-runs-out-of-order",
+         "unknown-certificate-key", "unknown-step-key", "unknown-clamp-key",
+         "unknown-key-in-ref"],
+)
+def test_parse_rejects_documents_that_do_not_re_encode(cert, edit):
+    data = certificate_to_dict(cert())
+    edit(data)
+    with pytest.raises(ReductionError, match="^certificate does not re-encode to itself$"):
+        certificate_from_dict(data)
+
+
+def test_parse_limits_merge_nesting():
+    leaf = certificate_to_dict(evain_certificate(2, 2, (1, 0)))
+    res = verify_certificate(certificate_from_dict(nested_merges(leaf, MAX_NESTING - 1)))
+    assert res.reason == (
+        "second sub-certificate fails at step 0: " * (MAX_NESTING - 2)
+        + "removed multiplicity must equal first claim's degree + 1"
+    )
+    with pytest.raises(ReductionError, match=f"^merges nest more than {MAX_NESTING} levels deep$"):
+        certificate_from_dict(nested_merges(leaf, MAX_NESTING))
+
+
+def test_verify_cuts_long_reasons():
+    data = certificate_to_dict(evain_certificate(2, 2, (1, 0)))
+    _first_step(data)["rule"] = "x" * (2 * MAX_REASON)
+    res = verify_certificate(certificate_from_dict(data))
+    assert res.reason == "unknown rule '" + "x" * (MAX_REASON - 17) + "..."
 
 
 # ---------------------------------------------------------------------------
