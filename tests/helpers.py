@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import io
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,7 +25,7 @@ from fatpoints.bounds import (
     chudnovsky_check,
     hh_check,
 )
-from fatpoints.cli import EX_FALSE, EX_OK
+from fatpoints.cli import EX_FALSE, EX_OK, run
 from fatpoints.core import AffineValue, FatPointSystem, binomial
 from fatpoints.facts import Profile, catalog
 from fatpoints.reduction import certificate_to_dict, evain_certificate
@@ -63,6 +65,20 @@ def shipped_certificates() -> list:
         for fact in catalog(n):
             walk(fact.certificate)
     return seen
+
+
+def invoke_stdin(argv, text):
+    """Exit code, stdout and stderr of the command line `argv` reading `text`
+    as its standard input."""
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = old
+    return code, out.getvalue(), err.getvalue()
 
 
 def nested_merges(doc: dict, depth: int) -> dict:

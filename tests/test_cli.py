@@ -1,6 +1,5 @@
 """Command-line surface: flags, exit codes, JSON/CSV output, determinism."""
 
-import functools
 import io
 import json
 import os
@@ -10,19 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fatpoints
 from fatpoints import bounds, cli
 from fatpoints.cli import run
-from fatpoints.reduction import (
-    MAX_NESTING,
-    certificate_from_dict,
-    certificate_to_dict,
-    certificate_to_json,
-)
-from helpers import SWEEP_STOPS, nested_merges, reference_sweep, shipped_certificates
+from helpers import SWEEP_STOPS, invoke_stdin, reference_sweep
 
 
 def invoke(argv, env_seed=None, monkeypatch=None):
@@ -31,20 +22,6 @@ def invoke(argv, env_seed=None, monkeypatch=None):
         monkeypatch.setenv("FATPOINT_SEED", str(env_seed))
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def invoke_stdin(argv, text):
-    import sys
-
-    out, err = io.StringIO(), io.StringIO()
-    old = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv)
-    finally:
-        sys.stdin = old
     return code, out.getvalue(), err.getvalue()
 
 
@@ -192,80 +169,6 @@ def test_verify_rejects_side_fields_the_rule_does_not_read(step, edit, reason):
     code, text, err = invoke_stdin(["verify", "--cert", "-"], json.dumps(doc))
     assert (code, err) == (1, "")
     assert json.loads(text) == {"ok": False, "failed_step": step, "reason": reason}
-
-
-@functools.cache
-def _shipped_texts():
-    return [certificate_to_json(cert) for cert in shipped_certificates()]
-
-
-def _positions(doc):
-    """Every (path, value) in a JSON document, the root included."""
-    out, todo = [], [((), doc)]
-    while todo:
-        path, value = todo.pop()
-        out.append((path, value))
-        if isinstance(value, (dict, list)):
-            items = value.items() if isinstance(value, dict) else enumerate(value)
-            todo.extend((path + (key,), child) for key, child in items)
-    return out
-
-
-def _parent(doc, path):
-    for key in path[:-1]:
-        doc = doc[key]
-    return doc
-
-
-# stands for a 0 nested deep in lists, spliced into the document's text
-_BURIED = "buried-value"
-_RETYPED = [None, True, 0, -1, 2**70, 1.5, "x", [], {}, [0, 0, 0], _BURIED]
-# each edit, and the (path, value) positions it applies to
-_EDITS = {
-    "drop": lambda path, value: bool(path),
-    "retype": lambda path, value: True,
-    "lengthen": lambda path, value: isinstance(value, list),
-    "reorder": lambda path, value: isinstance(value, list) and len(value) > 1,
-    "add-key": lambda path, value: isinstance(value, dict),
-    "nest": lambda path, value: not path,
-}
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_verify_fuzzed_certificates(data):
-    doc = json.loads(data.draw(st.sampled_from(_shipped_texts())))
-    depth = data.draw(st.integers(1, 5000))
-    for _ in range(data.draw(st.integers(1, 3))):
-        edit = data.draw(st.sampled_from(sorted(_EDITS)))
-        positions = [(p, v) for p, v in _positions(doc) if _EDITS[edit](p, v)]
-        if not positions:  # the document was retyped to a scalar
-            continue
-        path, value = positions[data.draw(st.integers(0, len(positions) - 1))]
-        if edit == "retype":
-            new = data.draw(st.sampled_from(_RETYPED))
-            if path:
-                _parent(doc, path)[path[-1]] = new
-            else:
-                doc = new
-        elif edit == "drop":
-            del _parent(doc, path)[path[-1]]
-        elif edit == "lengthen":
-            value.extend(value[: data.draw(st.integers(1, 3))] or [0])
-        elif edit == "reorder":
-            value.reverse()
-        elif edit == "add-key":
-            value[data.draw(st.sampled_from(["note", "N", "rule", "k"]))] = 1
-        else:
-            doc = nested_merges(doc, data.draw(st.integers(1, 2 * MAX_NESTING)))
-    text = json.dumps(doc).replace(f'"{_BURIED}"', "[" * depth + "0" + "]" * depth)
-    code, out, err = invoke_stdin(["verify", "--cert", "-"], text)
-    assert (code, err) in ((0, ""), (1, ""))
-    verdict = json.loads(out)
-    assert verdict["ok"] is (code == 0)
-    if verdict["ok"]:
-        doc = json.loads(text)
-        assert certificate_to_dict(certificate_from_dict(doc)) == doc
 
 
 def test_module_entry_point_exits_with_the_verdict(tmp_path):
