@@ -19,9 +19,7 @@ re-evaluates a tree from scratch, independently of the search.
 Most candidates do not depend on s: the small-count values, the certified
 facts with the point count each applies from, and each decompose level's
 value and premises.  They sit in a per-n candidate table, built once per
-catalog(n) (decompose levels when a point count first reaches them).  For
-each s the engine compares values only and builds the derivation tree of
-the winner alone.
+catalog(n) (decompose levels when a point count first reaches them).
 
 Constant segments.  As a function of s, every candidate is a nondecreasing
 step function whose steps sit at counts known in advance (a candidate that
@@ -58,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .core import binomial
@@ -203,8 +201,8 @@ def _monotone(s: int, s0: int, inner: ProofTree) -> ProofTree:
 class _CandidateTable:
     """The candidates for s points in P^n whose value does not depend on s.
 
-    `small_counts` and `certified` hold (s0, value, tree): each applies from
-    s0 points on, by monotonicity over `tree`.  Decompose levels are built
+    `small_counts` and `certified` hold (s0, tree): each applies from s0
+    points on, by monotonicity over `tree`.  Decompose levels are built
     the first time a point count reaches them, since their premises are
     bounds one dimension down.
     """
@@ -212,18 +210,16 @@ class _CandidateTable:
     def __init__(self, n: int, facts: tuple[WaldschmidtFact, ...]) -> None:
         self.n = n
         self.facts = facts
-        self.small_counts = []
-        for case, (s0, value) in _small_counts(n).items():
-            inner = ProofTree(
-                RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case))
-            )
-            self.small_counts.append((s0, value, inner))
+        self.small_counts = [
+            (s0, ProofTree(RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case))))
+            for case, (s0, value) in _small_counts(n).items()
+        ]
 
         self.certified = []
         for fact in facts:
             tree = _certified_tree(fact)
             if fact.profile.is_simple:
-                self.certified.append((fact.profile.npoints, fact.bound, tree))
+                self.certified.append((fact.profile.npoints, tree))
                 continue
             pair = fact.profile.doubles_and_singles()
             if pair is not None:
@@ -235,7 +231,7 @@ class _CandidateTable:
                     params=(("n", n), ("s0", s0), ("doubles", b), ("singles", c)),
                     premises=(tree,),
                 )
-                self.certified.append((s0, fact.bound, lifted))
+                self.certified.append((s0, lifted))
 
         # level l splits C(n+l, n) + 1 points as r1 + r2 across a hyperplane
         self._level_sizes = [(level, binomial(n + level, n) + 1) for level in range(2, n - 1)]
@@ -248,8 +244,8 @@ class _CandidateTable:
             return []
         n = self.n
         steps = {1}
-        steps.update(s0 for s0, _, _ in self.small_counts)
-        steps.update(s0 for s0, _, _ in self.certified)
+        steps.update(s0 for s0, _ in self.small_counts)
+        steps.update(s0 for s0, _ in self.certified)
         steps.update(size for _, size in self._level_sizes)
         k = 2
         while k**n <= stop:
@@ -306,50 +302,32 @@ def _candidate_table(n: int) -> _CandidateTable:
 def waldschmidt_lower_bound(n: int, s: int) -> BoundFact:
     """Best derivable lower bound for s generic simple points in P^n.
 
-    The candidates are compared by value in the order trivial, small-count,
-    root-count, certified, block-doubling, decompose; the first maximal one
-    wins, and only its derivation tree is built.
+    The candidates are listed in the order trivial, small-count, root-count,
+    certified, block-doubling, decompose; the first maximal one wins.
     """
     _validate(n, s)
     table = _candidate_table(n)
-    best: Fraction | int = 1
-    # the current winner's tree builder: trees are built for the winner only
-    build = partial(ProofTree, RULE_TRIVIAL, Fraction(1), (("n", n), ("s", s)))
-
-    for s0, value, tree in table.small_counts:
-        if s >= s0 and value > best:
-            best, build = value, partial(_monotone, s, s0, tree)
-
+    candidates = [ProofTree(RULE_TRIVIAL, Fraction(1), (("n", n), ("s", s)))]
+    candidates += [_monotone(s, s0, tree) for s0, tree in table.small_counts if s >= s0]
     k = _floor_nth_root(s, n)
-    if k >= 2 and k > best:
-        best, build = k, partial(
-            ProofTree, RULE_ROOT_COUNT, Fraction(k), (("n", n), ("s", s), ("scale", k))
+    if k >= 2:
+        candidates.append(
+            ProofTree(RULE_ROOT_COUNT, Fraction(k), (("n", n), ("s", s), ("scale", k)))
         )
-
-    for s0, value, tree in table.certified:
-        if s >= s0 and value > best:
-            best, build = value, partial(_monotone, s, s0, tree)
-
+    candidates += [_monotone(s, s0, tree) for s0, tree in table.certified if s >= s0]
     b = s >> n
     if b >= 1:
-        inner = waldschmidt_lower_bound(n, b)
-        doubled = 2 * inner.bound
-        if doubled > best:
-            best, build = doubled, partial(
-                ProofTree,
-                RULE_BLOCK_DOUBLING,
-                doubled,
-                (("n", n), ("s", s), ("b", b)),
-                (inner.derivation,),
+        inner = waldschmidt_lower_bound(n, b).derivation
+        candidates.append(
+            ProofTree(
+                RULE_BLOCK_DOUBLING, 2 * inner.value, (("n", n), ("s", s), ("b", b)), (inner,)
             )
-
-    for value, params, premises in table.decompose_levels(s):
-        if value > best:
-            best, build = value, partial(
-                ProofTree, RULE_DECOMPOSE, value, (("n", n), ("s", s)) + params, premises
-            )
-
-    tree = build()
+        )
+    candidates += [
+        ProofTree(RULE_DECOMPOSE, value, (("n", n), ("s", s)) + params, premises)
+        for value, params, premises in table.decompose_levels(s)
+    ]
+    tree = max(candidates, key=lambda t: t.value)
     return BoundFact(n, Profile.simple(s), tree.value, tree)
 
 

@@ -282,7 +282,7 @@ def run(argv) -> int:
         TypeError,
         AttributeError,
         IndexError,
-        json.JSONDecodeError,
+        RecursionError,
     ) as exc:
         sys.stderr.write(
             to_canonical_json({"error": str(exc), "kind": type(exc).__name__}) + "\n"

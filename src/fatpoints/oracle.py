@@ -20,9 +20,12 @@ therefore delete columns and add no rows; only the other points are sampled
 partial-derivative functionals of order < m_i at point i acting on the
 surviving monomial coefficients.
 
-Alpha floors: `alpha_symbolic_power` records the alphas it finds and starts
-the scan for s at the largest alpha recorded for a smaller s at the same
-(n, m, config); see its docstring for why this leaves the result unchanged.
+Alpha floors: `alpha_symbolic_power` keeps one record per (n, m, config),
+the (s, alpha) of its latest query there, and starts the scan for a larger s
+at that alpha; see its docstring for why this leaves the result unchanged.
+Sweeps over s (criterion 7 runs s = 1, 2, ... for each (n, m)) ask for
+ascending s, so the latest query is the largest floor a longer history
+could give them.
 
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
 blocked kernel: int64 panel factorization, float64 BLAS trailing updates.  A
@@ -418,11 +421,10 @@ def linear_system_dim(
     )
 
 
-# alphas found so far, (n, m, config) -> {s: alpha}, kept as scan floors for
-# larger s; bounded, the least recently used key and the oldest entry go first
+# the latest alpha found, (n, m, config) -> (s, alpha), kept as a scan floor
+# for larger s; bounded, the least recently used key goes first
 _FLOOR_KEYS = 64
-_FLOOR_ENTRIES = 256
-_alpha_floors: dict[tuple[int, int, OracleConfig], dict[int, int]] = {}
+_alpha_floors: dict[tuple[int, int, OracleConfig], tuple[int, int]] = {}
 
 
 def clear_alpha_floors() -> None:
@@ -435,15 +437,16 @@ def alpha_symbolic_power(
 ) -> int:
     """Least degree d with a nonzero form of multiplicity m at s random points.
 
-    Searches upward from d = m, or from the largest alpha recorded for any
-    s' < s at the same (n, m, config).  When the virtual dimension
-    C(d+n,n) - s*C(m+n-1,n) is positive the system is nonzero without any
-    rank computation (dimension >= columns - rows); only candidate degrees
-    below that point need the matrix.  Each candidate is probed with a single
-    trial first: a zero dimension there already equals the min over all
-    trials, so only positive probes need confirmation with the full trial
-    count.  The result is identical to scanning from m with the full count
-    throughout.
+    Searches upward from d = m, or from alpha(s') when the latest query at
+    the same (n, m, config) was for s' < s points: one (s, alpha) record per
+    key, which is all that queries for ascending s use.  When the virtual
+    dimension C(d+n,n) - s*C(m+n-1,n) is positive the system is nonzero
+    without any rank computation (dimension >= columns - rows); only
+    candidate degrees below that point need the matrix.  Each candidate is
+    probed with a single trial first: a zero dimension there already equals
+    the min over all trials, so only positive probes need confirmation with
+    the full trial count.  The result is identical to scanning from m with
+    the full count throughout.
 
     Why the floor is exact: within one (seed, trial) the s-point
     configuration is a prefix of the (s+1)-point one.  The frame fills first,
@@ -451,9 +454,9 @@ def alpha_symbolic_power(
     at a time from the same stream.  So each trial's dimension at s+1 is at
     most its dimension at s, a zero probe or zero minimum at s' stays zero at
     s, and the virtual-dimension shortcut only gets weaker as s grows: the
-    scan for s cannot stop below alpha(s').  Only other s values are used, so
-    a repeated query redoes its work; the cost depends on earlier calls, the
-    result does not.
+    scan for s cannot stop below alpha(s').  Only a smaller s' is used, so a
+    repeated query, or one for fewer points than the latest, redoes its work;
+    the cost depends on earlier calls, the result does not.
     """
     if s < 1 or m < 1:
         raise ValueError("need s >= 1 and m >= 1")
@@ -464,19 +467,15 @@ def alpha_symbolic_power(
         else OracleConfig(prime=config.prime, trials=1, seed=config.seed)
     )
     conditions = s * binomial(m + n - 1, n)
-    found = _alpha_floors.pop((n, m, config), {})
-    d = max([m, *(alpha for t, alpha in found.items() if t < s)])
+    last_s, last_alpha = _alpha_floors.pop((n, m, config), (0, m))
+    d = last_alpha if last_s < s else m
     while binomial(d + n, n) - conditions <= 0:
         if linear_system_dim(n, d, [m] * s, probe).dimension > 0 and (
             probe is config or linear_system_dim(n, d, [m] * s, config).dimension > 0
         ):
             break
         d += 1
-    found.pop(s, None)
-    found[s] = d
-    if len(found) > _FLOOR_ENTRIES:
-        del found[next(iter(found))]
-    _alpha_floors[n, m, config] = found
+    _alpha_floors[n, m, config] = (s, d)
     if len(_alpha_floors) > _FLOOR_KEYS:
         del _alpha_floors[next(iter(_alpha_floors))]
     return d

@@ -319,8 +319,12 @@ def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
     """Combine: if I(A)_K = 0 and I(B', K+1)_t = 0 then I(A, B')_t = 0.
 
     cert_b's claim must contain a multiplicity equal to cert_a's claimed
-    degree plus one; that point is replaced by all of cert_a's points.
+    degree plus one; that point is replaced by all of cert_a's points.  The
+    merged certificate may nest at most MAX_NESTING levels deep, the limit
+    that the parser accepts.
     """
+    if 1 + max(_nesting(cert_a), _nesting(cert_b)) > MAX_NESTING:
+        raise MergeError(f"merged certificate would nest more than {MAX_NESTING} levels deep")
     for name, cert in (("first", cert_a), ("second", cert_b)):
         res = verify_certificate(cert)
         if not res:
@@ -348,6 +352,11 @@ def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
         threshold=m0,
     )
     return Certificate(claim, (step,), m0)
+
+
+def _nesting(cert: Certificate) -> int:
+    """Levels of merge references in cert, its own level included."""
+    return 1 + max((_nesting(ref) for step in cert.steps for ref in step.refs), default=0)
 
 
 def _merged_claim(cert_a: Certificate, cert_b: Certificate, removed: int) -> FatPointSystem:
@@ -449,16 +458,13 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
             return fail(i, str(exc))
         if step.threshold != threshold:
             return fail(i, f"stored threshold {step.threshold}, replay needs {threshold}")
-        if replayed is None:
-            if step.output is not None:
-                return fail(i, "rule yields an empty verdict but the step stores a system")
-            current = None
-        else:
-            if step.output != replayed:
-                return fail(i, "stored output does not match replay")
-            current = replayed
-    if current is not None:
-        return fail(last, "chain does not reach an empty verdict")
+        if replayed is None and step.output is not None:
+            return fail(i, "rule yields an empty verdict but the step stores a system")
+        if step.output != replayed:
+            return fail(i, "stored output does not match replay")
+        current = replayed
+    # the last step stores no output, so a replay that yields a system fails
+    # there: a chain that passes ends in an empty verdict
     return VerificationResult(True)
 
 
@@ -502,29 +508,26 @@ def _replay_step(step: ReductionStep):
             raise ReductionError("axiom multiplicity is not eventually >= 1")
         return None, t
 
-    if step.rule == RULE_MERGE:
-        if len(step.refs) != 2:
-            raise ReductionError("merge step needs exactly two sub-certificates")
-        cert_a, cert_b = step.refs
-        for name, ref in (("first", cert_a), ("second", cert_b)):
-            res = verify_certificate(ref)
-            if not res:
-                raise ReductionError(
-                    f"{name} sub-certificate fails at step {res.failed_step}: {res.reason}"
-                )
-        if cert_a.claim.n != cert_b.claim.n or cert_a.claim.n != sys.n:
-            raise ReductionError("merge dimensions do not agree")
-        if step.removed is None or not 0 <= step.removed < len(cert_b.claim.mults):
-            raise ReductionError("merge removal index out of range")
-        run = cert_b.claim.mults[step.removed]
-        if run.value != cert_a.claim.degree + ONE:
-            raise ReductionError("removed multiplicity must equal first claim's degree + 1")
-        if _merged_claim(cert_a, cert_b, step.removed) != sys:
-            raise ReductionError("merged claim does not match the step input")
-        threshold = max(cert_a.m0, cert_b.m0)
-        return None, threshold
-
-    raise ReductionError(f"unknown rule {step.rule!r}")
+    # RULE_MERGE: verify_certificate lets no other rule through
+    if len(step.refs) != 2:
+        raise ReductionError("merge step needs exactly two sub-certificates")
+    cert_a, cert_b = step.refs
+    for name, ref in (("first", cert_a), ("second", cert_b)):
+        res = verify_certificate(ref)
+        if not res:
+            raise ReductionError(
+                f"{name} sub-certificate fails at step {res.failed_step}: {res.reason}"
+            )
+    if cert_a.claim.n != cert_b.claim.n or cert_a.claim.n != sys.n:
+        raise ReductionError("merge dimensions do not agree")
+    if step.removed is None or not 0 <= step.removed < len(cert_b.claim.mults):
+        raise ReductionError("merge removal index out of range")
+    run = cert_b.claim.mults[step.removed]
+    if run.value != cert_a.claim.degree + ONE:
+        raise ReductionError("removed multiplicity must equal first claim's degree + 1")
+    if _merged_claim(cert_a, cert_b, step.removed) != sys:
+        raise ReductionError("merged claim does not match the step input")
+    return None, max(cert_a.m0, cert_b.m0)
 
 
 # ---------------------------------------------------------------------------

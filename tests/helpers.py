@@ -92,11 +92,26 @@ def nested_merges(doc: dict, depth: int) -> dict:
     return doc
 
 
+def merge_chain_script(depth: int) -> tuple[dict, str]:
+    """A `--script` of `depth` nested merges in the plane, and the `--mults`
+    of the claim it proves in degree 2m-1: each merge trades one point of
+    multiplicity 2m for the four points of a 2x2 axiom."""
+    axiom = {"system": {"N": 2, "degree": [2, -1], "mults": [[1, 0, 4]]},
+             "prove": {"how": "evain", "scale": 2}}
+    runs = [[2, 0, depth + 1]]
+    node = {"how": "greedy"}
+    for j in range(1, depth + 1):
+        rest = {"system": {"N": 2, "degree": [2, -1], "mults": runs}, "prove": node}
+        node = {"how": "merge", "part": axiom, "rest": rest}
+        runs = [[2, 0, depth + 1 - j], [1, 0, 4 * j]]
+    return node, f"2,0:1;1,0:{4 * depth}"
+
+
 @lru_cache(maxsize=None)
 def reference_lower_bound(n: int, s: int) -> BoundFact:
-    """The rule engine as it was before winner-only tree building: every
-    candidate's derivation tree is built and `max` keeps the first maximal
-    one.  Tests require the engine to return the same facts."""
+    """The rule engine without its per-n candidate table: every candidate
+    is rederived for each s, and `max` keeps the first maximal one.  Tests
+    require the engine to return the same facts."""
     _validate(n, s)
     candidates: list[ProofTree] = [
         ProofTree(RULE_TRIVIAL, Fraction(1), params=(("n", n), ("s", s)))

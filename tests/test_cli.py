@@ -13,7 +13,8 @@ import pytest
 import fatpoints
 from fatpoints import bounds, cli
 from fatpoints.cli import run
-from helpers import SWEEP_STOPS, invoke_stdin, reference_sweep
+from fatpoints.reduction import MAX_NESTING
+from helpers import SWEEP_STOPS, invoke_stdin, merge_chain_script, reference_sweep
 
 
 def invoke(argv, env_seed=None, monkeypatch=None):
@@ -274,6 +275,42 @@ def test_prove_empty_rejects_loose_merge_branches(tmp_path):
     assert json.loads(err)["kind"] == "ReductionError"
 
 
+def test_prove_empty_refuses_merges_the_parser_would_reject(tmp_path):
+    path = tmp_path / "script.json"
+    argv = ["prove-empty", "--n", "2", "--degree", "2,-1", "--script", str(path), "--mults"]
+    # the top certificate counts as a level, so MAX_NESTING - 1 merges fit
+    script, mults = merge_chain_script(MAX_NESTING - 1)
+    path.write_text(json.dumps(script))
+    code, out, _ = invoke(argv + [mults])
+    assert code == 0
+    code, verdict, _ = invoke_stdin(["verify", "--cert", "-"], out)
+    assert (code, json.loads(verdict)["ok"]) == (0, True)
+    script, mults = merge_chain_script(MAX_NESTING)
+    path.write_text(json.dumps(script))
+    code, out, err = invoke(argv + [mults])
+    assert (code, out) == (70, "")
+    assert json.loads(err) == {
+        "error": f"merged certificate would nest more than {MAX_NESTING} levels deep",
+        "kind": "MergeError",
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [lambda: "[" * 100000 + "]" * 100000, lambda: json.dumps(merge_chain_script(300)[0])],
+    ids=["deep-json", "300-merges"],
+)
+def test_prove_empty_reports_deep_scripts_as_json(tmp_path, text):
+    path = tmp_path / "script.json"
+    path.write_text(text())
+    code, out, err = invoke(
+        ["prove-empty", "--n", "2", "--degree", "2,-1", "--mults", "2,0:1;1,0:1200",
+         "--script", str(path)]
+    )
+    assert (code, out) == (70, "")
+    assert set(json.loads(err)) == {"error", "kind"}
+
+
 def test_bound_and_checks():
     code, out, _ = invoke(["bound", "--n", "4", "--points", "128"])
     assert code == 0
@@ -422,6 +459,18 @@ def test_usage_errors_exit_64():
     ):
         code, _, _ = invoke(argv)
         assert code == 64, argv
+    for flags, message in (
+        (["--degree", "abc", "--mults", "5,0:8"],
+         "argument --degree: expected INT or SLOPE,INTERCEPT, got 'abc'"),
+        (["--degree", "8,-1", "--mults", "5,0:x"], "argument --mults: bad count in '5,0:x'"),
+        (["--degree", "8,-1", "--mults", ";"], "argument --mults: empty multiplicity list"),
+    ):
+        code, out, err = invoke(["prove-empty", "--n", "4", *flags])
+        assert (code, out) == (64, ""), flags
+        assert err.endswith(f"fatpoints prove-empty: error: {message}\n"), flags
+    # an empty block, as after a trailing ';', is skipped
+    argv = ["prove-empty", "--n", "4", "--degree", "8,-1", "--mults"]
+    assert invoke(argv + ["5,0:8;"]) == invoke(argv + ["5,0:8"])
 
 
 def test_byte_identical_reruns():

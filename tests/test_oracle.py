@@ -480,9 +480,11 @@ def test_alpha_floor_record_stays_bounded(monkeypatch):
         alpha_symbolic_power(2, 1, 1, OracleConfig(prime=FAST_PRIME, trials=1, seed=seed))
     assert len(oracle._alpha_floors) == oracle._FLOOR_KEYS
     config = OracleConfig(prime=FAST_PRIME, trials=1, seed=0)
-    for s in range(1, oracle._FLOOR_ENTRIES + 20):
-        alpha_symbolic_power(2, s, 1, config)
+    for s in range(1, 30):
+        alpha = alpha_symbolic_power(2, s, 1, config)
     assert len(oracle._alpha_floors) == oracle._FLOOR_KEYS
-    assert max(len(found) for found in oracle._alpha_floors.values()) == oracle._FLOOR_ENTRIES
+    # one (s, alpha) per key: its latest query's
+    assert oracle._alpha_floors[2, 1, config] == (29, alpha)
+    assert {len(record) for record in oracle._alpha_floors.values()} == {2}
     clear_alpha_floors()
     assert not oracle._alpha_floors

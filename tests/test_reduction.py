@@ -442,6 +442,29 @@ def test_verify_reasons_of_merge_and_axiom_tampers(cert, edit, reason):
     assert (res.ok, res.failed_step, res.reason) == (False, 0, reason)
 
 
+def _contradiction_before_the_end(data):
+    steps = data["steps"]
+    early = dict(steps[3], output=steps[2]["output"])
+    data["steps"] = [*steps[:3], early, steps[3]]
+
+
+@pytest.mark.parametrize(
+    "edit, failed_step, reason",
+    [
+        (lambda d: _first_step(d).update(pivot=None), 0, "reduce step is missing its pivot"),
+        (_contradiction_before_the_end, 3,
+         "rule yields an empty verdict but the step stores a system"),
+    ],
+    ids=["reduce-without-pivot", "contradiction-before-the-end"],
+)
+def test_verify_reasons_of_reduce_and_contradiction_tampers(edit, failed_step, reason):
+    data = certificate_to_dict(prove_empty(EIGHT_POINT_ROWS[0]))
+    assert data["steps"][3]["rule"] == "contradiction"
+    edit(data)
+    res = verify_certificate(certificate_from_dict(data))
+    assert (res.ok, res.failed_step, res.reason) == (False, failed_step, reason)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
