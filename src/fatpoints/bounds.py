@@ -14,7 +14,8 @@ The engine evaluates every applicable rule and keeps the maximum:
                  dimension n-1 combine to a bound one dimension up
 
 Every returned bound carries a derivation tree; `replay_proof_tree`
-re-evaluates a tree from scratch, independently of the search.
+rebuilds each node with the engine's own rule constructors and ties each
+premise to its parent.
 
 Most candidates do not depend on s: the small-count values, the certified
 facts with the point count each applies from, and each decompose level's
@@ -89,7 +90,7 @@ class ProofTree:
         for k, v in self.params:
             if k == key:
                 return v
-        raise KeyError(key)
+        raise ValueError(f"{self.rule} node has no param {key!r}")
 
 
 @dataclass(frozen=True)
@@ -159,43 +160,113 @@ def _floor_nth_root(s: int, n: int) -> int:
     return k
 
 
-def _small_count_value(n: int, case: str) -> Fraction:
-    if case == "n+1":
-        return Fraction(n + 1, n)
-    if case == "n+2":
-        return Fraction(n + 2, n)
-    if case == "n+3-even":
-        return Fraction(n + 2, n)
-    if case == "n+3-odd":
-        return 1 + Fraction(2, n) + Fraction(2, n**3 + 2 * n**2 - n)
-    raise ValueError(f"unknown small-count case {case!r}")
-
-
 def _small_counts(n: int) -> dict[str, tuple[int, Fraction]]:
     """case -> (s0, value) for the small-count cases that hold in P^n: s0
     points have constant at least value.  The n+3 case is split by parity."""
-    cases = (("n+1", n + 1), ("n+2", n + 2), ("n+3-odd" if n % 2 else "n+3-even", n + 3))
-    return {case: (s0, _small_count_value(n, case)) for case, s0 in cases}
+    if n % 2:
+        n3 = {"n+3-odd": (n + 3, 1 + Fraction(2, n) + Fraction(2, n**3 + 2 * n**2 - n))}
+    else:
+        n3 = {"n+3-even": (n + 3, Fraction(n + 2, n))}
+    return {"n+1": (n + 1, Fraction(n + 1, n)), "n+2": (n + 2, Fraction(n + 2, n)), **n3}
 
 
-def _certified_tree(fact: WaldschmidtFact) -> ProofTree:
-    return ProofTree(
-        RULE_CERTIFIED,
-        fact.bound,
-        params=(
-            ("n", fact.n),
-            ("profile", fact.profile.runs),
-            ("num", fact.bound.numerator),
-            ("den", fact.bound.denominator),
-        ),
-        certificate=fact.certificate,
-    )
+def _subject(tree: ProofTree) -> tuple[int, int] | None:
+    """(n, s) when `tree` bounds s simple points in P^n; None for a
+    certified fat profile."""
+    if tree.rule == RULE_CERTIFIED:
+        runs = tree.param("profile")
+        return (tree.param("n"), runs[0][1]) if len(runs) == 1 and runs[0][0] == 1 else None
+    if tree.rule == RULE_MONOTONE:
+        return _subject(tree.premises[0])[0], tree.param("s")
+    if tree.rule == RULE_UNIT_TO_DOUBLE:
+        return tree.param("n"), tree.param("s0")
+    return tree.param("n"), tree.param("s")
 
 
-def _monotone(s: int, s0: int, inner: ProofTree) -> ProofTree:
+# ---------------------------------------------------------------------------
+# the rules, one constructor each, which the engine and replay both build with;
+# it raises ValueError when a hypothesis fails
+
+
+def _trivial(n: int, s: int) -> ProofTree:
+    _validate(n, s)
+    return ProofTree(RULE_TRIVIAL, Fraction(1), (("n", n), ("s", s)))
+
+
+def _small_count(n: int, case: str) -> ProofTree:
+    """The closed form of `case` at its own point count in P^n."""
+    _validate(n, 1)
+    cases = _small_counts(n)
+    if case not in cases:
+        raise ValueError(f"small-count case {case!r} does not hold in P^{n}")
+    s0, value = cases[case]
+    return ProofTree(RULE_SMALL_COUNT, value, (("n", n), ("s", s0), ("case", case)))
+
+
+def _root_count(n: int, s: int) -> ProofTree:
+    """k = floor(s^(1/n)) >= 2 for s points: k^n of them have constant k."""
+    _validate(n, s)
+    k = _floor_nth_root(s, n)
+    if k < 2:
+        raise ValueError(f"root-count needs s >= 2^n, got {s} points in P^{n}")
+    return ProofTree(RULE_ROOT_COUNT, Fraction(k), (("n", n), ("s", s), ("scale", k)))
+
+
+def _certified_system(fact: WaldschmidtFact) -> ProofTree:
+    """The bound of a fact that `fact_from_certificate` read off its certificate."""
+    num, den = fact.bound.numerator, fact.bound.denominator
+    params = (("n", fact.n), ("profile", fact.profile.runs), ("num", num), ("den", den))
+    return ProofTree(RULE_CERTIFIED, fact.bound, params, certificate=fact.certificate)
+
+
+def _unit_to_double(premise: ProofTree) -> ProofTree:
+    """b*2^n + c simple points from a certified profile (2^b, 1^c) in P^n."""
+    pair = None
+    if premise.rule == RULE_CERTIFIED:
+        pair = Profile(premise.param("profile")).doubles_and_singles()
+    if pair is None:
+        raise ValueError("unit-to-double must rest on a certified profile (2^b, 1^c)")
+    n, (b, c) = premise.param("n"), pair
+    params = (("n", n), ("s0", b * 2**n + c), ("doubles", b), ("singles", c))
+    return ProofTree(RULE_UNIT_TO_DOUBLE, premise.value, params, (premise,))
+
+
+def _monotone(s: int, premise: ProofTree) -> ProofTree:
+    """s points from a premise about s0 <= s simple points; the premise itself if s = s0."""
+    subject = _subject(premise)
+    if subject is None:
+        raise ValueError("monotonicity needs a premise about simple points, not a fat profile")
+    s0 = subject[1]
+    if s < s0:
+        raise ValueError(f"monotonicity applied downward, from {s0} to {s} points")
     if s == s0:
-        return inner
-    return ProofTree(RULE_MONOTONE, inner.value, params=(("s", s), ("s0", s0)), premises=(inner,))
+        return premise
+    return ProofTree(RULE_MONOTONE, premise.value, (("s", s), ("s0", s0)), (premise,))
+
+
+def _block_doubling(n: int, s: int, premise: ProofTree) -> ProofTree:
+    """Twice the bound of a premise about floor(s / 2^n) >= 1 points in P^n."""
+    b, subject = s >> n, _subject(premise)
+    if subject != (n, b):
+        raise ValueError(f"block-doubling premise must bound {b} points in P^{n}, not {subject}")
+    params = (("n", n), ("s", s), ("b", b))
+    return ProofTree(RULE_BLOCK_DOUBLING, 2 * premise.value, params, (premise,))
+
+
+def _decompose(n: int, s: int, premises: tuple[ProofTree, ...]) -> ProofTree:
+    """s >= r1 + r2 points split across a hyperplane, from premises about r1
+    and r2 simple points in P^(n-1), each used at a_j = min(its bound, 2)."""
+    subjects = tuple(map(_subject, premises))
+    if len(subjects) != 2 or None in subjects or {m for m, _ in subjects} != {n - 1}:
+        raise ValueError(f"decompose needs two premises about simple points in P^{n - 1}")
+    rs = (subjects[0][1], subjects[1][1])
+    if s < sum(rs):
+        raise ValueError(f"decompose needs s >= r1 + r2 = {sum(rs)}, got {s}")
+    parts = [min(premise.value, Fraction(2)) for premise in premises]
+    a = tuple((part.numerator, part.denominator) for part in parts)
+    params = (("n", n), ("s", s), ("k", 1), ("r", rs), ("a", a), ("scope", DECOMPOSE_SCOPE))
+    value = decomposition_bound(n, list(zip(rs, parts)), 1)
+    return ProofTree(RULE_DECOMPOSE, value, params, premises)
 
 
 class _CandidateTable:
@@ -210,32 +281,22 @@ class _CandidateTable:
     def __init__(self, n: int, facts: tuple[WaldschmidtFact, ...]) -> None:
         self.n = n
         self.facts = facts
-        self.small_counts = [
-            (s0, ProofTree(RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case))))
-            for case, (s0, value) in _small_counts(n).items()
-        ]
+        trees = [_small_count(n, case) for case in _small_counts(n)]
+        self.small_counts = [(_subject(tree)[1], tree) for tree in trees]
 
         self.certified = []
         for fact in facts:
-            tree = _certified_tree(fact)
-            if fact.profile.is_simple:
-                self.certified.append((fact.profile.npoints, tree))
+            tree = _certified_system(fact)
+            if fact.profile.doubles_and_singles() is not None:
+                tree = _unit_to_double(tree)
+            elif not fact.profile.is_simple:
                 continue
-            pair = fact.profile.doubles_and_singles()
-            if pair is not None:
-                b, c = pair
-                s0 = b * 2**n + c
-                lifted = ProofTree(
-                    RULE_UNIT_TO_DOUBLE,
-                    fact.bound,
-                    params=(("n", n), ("s0", s0), ("doubles", b), ("singles", c)),
-                    premises=(tree,),
-                )
-                self.certified.append((s0, lifted))
+            self.certified.append((_subject(tree)[1], tree))
 
         # level l splits C(n+l, n) + 1 points as r1 + r2 across a hyperplane
         self._level_sizes = [(level, binomial(n + level, n) + 1) for level in range(2, n - 1)]
-        self._levels: dict[int, tuple[Fraction, tuple, tuple] | None] = {}
+        # level -> (value, premises) of the first maximal level up to it
+        self._best_levels: dict[int, tuple[Fraction, tuple] | None] = {}
 
     def breakpoints(self, stop: int) -> list[int]:
         """The counts in 1..stop at which a candidate above may step; the
@@ -254,35 +315,23 @@ class _CandidateTable:
         steps.update(b << n for b in self.breakpoints(stop >> n))
         return sorted(s for s in steps if s <= stop)
 
-    def decompose_levels(self, s: int):
-        """(value, params after n and s, premises) of each decompose level
-        that applies to s points and has a first part worth more than 1."""
+    def decompose_level(self, s: int) -> tuple[Fraction, tuple] | None:
+        """(value, premises) of the first maximal decompose level that
+        applies to s points, if one does; a level applies only when its
+        first part is worth more than 1."""
+        n, best = self.n, None
         for level, size in self._level_sizes:
             if s < size:
-                return
-            if level not in self._levels:
-                self._levels[level] = _decompose_level(self.n, level)
-            if self._levels[level] is not None:
-                yield self._levels[level]
-
-
-def _decompose_level(n: int, level: int) -> tuple[Fraction, tuple, tuple] | None:
-    r1 = binomial(n - 1 + level, n - 1) + 1
-    r2 = binomial(n - 1 + level, n)
-    f1 = waldschmidt_lower_bound(n - 1, r1)
-    f2 = waldschmidt_lower_bound(n - 1, r2)
-    a1 = min(f1.bound, Fraction(2))
-    a2 = min(f2.bound, Fraction(2))
-    if a1 <= 1:
-        return None
-    params = (
-        ("k", 1),
-        ("r", (r1, r2)),
-        ("a", ((a1.numerator, a1.denominator), (a2.numerator, a2.denominator))),
-        ("scope", DECOMPOSE_SCOPE),
-    )
-    value = decomposition_bound(n, [(r1, a1), (r2, a2)], 1)
-    return value, params, (f1.derivation, f2.derivation)
+                break
+            if level not in self._best_levels:
+                rs = (binomial(n - 1 + level, n - 1) + 1, binomial(n - 1 + level, n))
+                premises = tuple(waldschmidt_lower_bound(n - 1, r).derivation for r in rs)
+                if premises[0].value > 1:
+                    value = _decompose(n, size, premises).value
+                    best = (value, premises) if best is None or value > best[0] else best
+                self._best_levels[level] = best
+            best = self._best_levels[level]
+        return best
 
 
 _tables: dict[int, _CandidateTable] = {}
@@ -303,31 +352,22 @@ def waldschmidt_lower_bound(n: int, s: int) -> BoundFact:
     """Best derivable lower bound for s generic simple points in P^n.
 
     The candidates are listed in the order trivial, small-count, root-count,
-    certified, block-doubling, decompose; the first maximal one wins.
+    certified, block-doubling, decompose; the first maximal one wins.  So a
+    decompose node is built only for the first maximal level, and only when
+    it is worth more than every other candidate.
     """
-    _validate(n, s)
+    candidates = [_trivial(n, s)]
     table = _candidate_table(n)
-    candidates = [ProofTree(RULE_TRIVIAL, Fraction(1), (("n", n), ("s", s)))]
-    candidates += [_monotone(s, s0, tree) for s0, tree in table.small_counts if s >= s0]
-    k = _floor_nth_root(s, n)
-    if k >= 2:
-        candidates.append(
-            ProofTree(RULE_ROOT_COUNT, Fraction(k), (("n", n), ("s", s), ("scale", k)))
-        )
-    candidates += [_monotone(s, s0, tree) for s0, tree in table.certified if s >= s0]
-    b = s >> n
-    if b >= 1:
-        inner = waldschmidt_lower_bound(n, b).derivation
-        candidates.append(
-            ProofTree(
-                RULE_BLOCK_DOUBLING, 2 * inner.value, (("n", n), ("s", s), ("b", b)), (inner,)
-            )
-        )
-    candidates += [
-        ProofTree(RULE_DECOMPOSE, value, (("n", n), ("s", s)) + params, premises)
-        for value, params, premises in table.decompose_levels(s)
-    ]
+    candidates += [_monotone(s, tree) for s0, tree in table.small_counts if s >= s0]
+    if s >= 2**n:
+        candidates.append(_root_count(n, s))
+    candidates += [_monotone(s, tree) for s0, tree in table.certified if s >= s0]
+    if s >> n:
+        candidates.append(_block_doubling(n, s, waldschmidt_lower_bound(n, s >> n).derivation))
     tree = max(candidates, key=lambda t: t.value)
+    level = table.decompose_level(s)
+    if level is not None and level[0] > tree.value:
+        tree = _decompose(n, s, level[1])
     return BoundFact(n, Profile.simple(s), tree.value, tree)
 
 
@@ -379,86 +419,44 @@ def decomposition_bound(
 
 
 # ---------------------------------------------------------------------------
-# replay: independent re-evaluation of a derivation tree
+# replay: every node rebuilt by its rule's constructor
 
 
 def replay_proof_tree(tree: ProofTree) -> Fraction:
-    """Recompute a derivation from its leaves; raises ValueError on any
-    inconsistency and returns the (re-verified) bound."""
-    value = _replay(tree)
-    if value != tree.value:
-        raise ValueError(f"stored value {tree.value} differs from replayed {value}")
-    return value
-
-
-def _replay(tree: ProofTree) -> Fraction:
-    rule = tree.rule
+    """Replay each premise, then rebuild the node with its rule's constructor
+    from its params and premises; raises ValueError unless every rebuilt node
+    equals the stored one, and returns the bound."""
+    for premise in tree.premises:
+        replay_proof_tree(premise)
+    rule, param, premises = tree.rule, tree.param, tree.premises
+    if rule in (RULE_UNIT_TO_DOUBLE, RULE_MONOTONE, RULE_BLOCK_DOUBLING) and len(premises) != 1:
+        raise ValueError(f"rule {rule} needs exactly one premise")
     if rule == RULE_TRIVIAL:
-        if tree.param("s") < 1:
-            raise ValueError("trivial bound needs at least one point")
-        return Fraction(1)
-    if rule == RULE_MONOTONE:
-        if tree.param("s") < tree.param("s0"):
-            raise ValueError("monotonicity applied downward")
-        return _replay_one(tree)
-    if rule == RULE_ROOT_COUNT:
-        k, n, s = tree.param("scale"), tree.param("n"), tree.param("s")
-        if k < 2 or k**n > s:
-            raise ValueError(f"root-count needs 2 <= k with k^n <= s, got k={k}")
-        return Fraction(k)
-    if rule == RULE_SMALL_COUNT:
-        n, s, case = tree.param("n"), tree.param("s"), tree.param("case")
-        cases = _small_counts(n)
-        if case not in cases:
-            raise ValueError(f"small-count case {case!r} does not hold in P^{n}")
-        s0, value = cases[case]
-        if s < s0:
-            raise ValueError(f"small-count case {case} needs s >= {s0}")
-        return value
-    if rule == RULE_BLOCK_DOUBLING:
-        n, s, b = tree.param("n"), tree.param("s"), tree.param("b")
-        if b < 1 or b * 2**n > s:
-            raise ValueError("block-doubling needs b >= 1 with b*2^n <= s")
-        return 2 * _replay_one(tree)
-    if rule == RULE_UNIT_TO_DOUBLE:
-        n, s0 = tree.param("n"), tree.param("s0")
-        b, c = tree.param("doubles"), tree.param("singles")
-        inner = tree.premises[0]
-        if inner.rule != RULE_CERTIFIED:
-            raise ValueError("unit-to-double must rest on a certified profile")
-        if inner.param("profile") != ((2, b), (1, c)):
-            raise ValueError("certified profile is not (2^b, 1^c)")
-        if s0 != b * 2**n + c:
-            raise ValueError("unit-to-double point count mismatch")
-        return _replay_one(tree)
-    if rule == RULE_CERTIFIED:
+        rebuilt = _trivial(param("n"), param("s"))
+    elif rule == RULE_SMALL_COUNT:
+        rebuilt = _small_count(param("n"), param("case"))
+    elif rule == RULE_ROOT_COUNT:
+        rebuilt = _root_count(param("n"), param("s"))
+    elif rule == RULE_CERTIFIED:
         if tree.certificate is None:
             raise ValueError("certified rule without a certificate")
-        fact = fact_from_certificate(tree.certificate)
-        if fact.n != tree.param("n") or fact.profile.runs != tree.param("profile"):
-            raise ValueError("certificate does not match the recorded profile")
-        if fact.bound != Fraction(tree.param("num"), tree.param("den")):
-            raise ValueError("certificate bound differs from the recorded value")
-        return fact.bound
-    if rule == RULE_DECOMPOSE:
-        n, s, k = tree.param("n"), tree.param("s"), tree.param("k")
-        rs = tree.param("r")
-        parts = [Fraction(num, den) for num, den in tree.param("a")]
-        if len(tree.premises) != k + 1 or len(rs) != k + 1:
-            raise ValueError("decomposition arity mismatch")
-        if s < sum(rs):
-            raise ValueError("decomposition needs s >= sum of the parts")
-        for a, premise in zip(parts, tree.premises):
-            if a > _replay(premise):
-                raise ValueError("decomposition premise weaker than its use")
-        return decomposition_bound(n, list(zip(rs, parts)), k)
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def _replay_one(tree: ProofTree) -> Fraction:
-    if len(tree.premises) != 1:
-        raise ValueError(f"rule {tree.rule} needs exactly one premise")
-    return _replay(tree.premises[0])
+        rebuilt = _certified_system(fact_from_certificate(tree.certificate))
+    elif rule == RULE_UNIT_TO_DOUBLE:
+        rebuilt = _unit_to_double(premises[0])
+    elif rule == RULE_MONOTONE:
+        rebuilt = _monotone(param("s"), premises[0])
+    elif rule == RULE_BLOCK_DOUBLING:
+        rebuilt = _block_doubling(param("n"), param("s"), premises[0])
+    elif rule == RULE_DECOMPOSE:
+        rebuilt = _decompose(param("n"), param("s"), premises)
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    if rebuilt != tree:
+        raise ValueError(
+            f"stored {rule} node {tree.value} {tree.params} differs from the "
+            f"rebuilt {rebuilt.rule} node {rebuilt.value} {rebuilt.params}"
+        )
+    return tree.value
 
 
 # ---------------------------------------------------------------------------

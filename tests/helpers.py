@@ -10,17 +10,16 @@ from functools import lru_cache
 from fatpoints.bounds import (
     DECOMPOSE_SCOPE,
     RULE_BLOCK_DOUBLING,
+    RULE_CERTIFIED,
     RULE_DECOMPOSE,
+    RULE_MONOTONE,
     RULE_ROOT_COUNT,
     RULE_SMALL_COUNT,
     RULE_TRIVIAL,
     RULE_UNIT_TO_DOUBLE,
     BoundFact,
     ProofTree,
-    _certified_tree,
     _floor_nth_root,
-    _monotone,
-    _small_count_value,
     _validate,
     chudnovsky_check,
     hh_check,
@@ -107,6 +106,12 @@ def merge_chain_script(depth: int) -> tuple[dict, str]:
     return node, f"2,0:1;1,0:{4 * depth}"
 
 
+def _reference_monotone(s: int, s0: int, inner: ProofTree) -> ProofTree:
+    if s == s0:
+        return inner
+    return ProofTree(RULE_MONOTONE, inner.value, params=(("s", s), ("s0", s0)), premises=(inner,))
+
+
 @lru_cache(maxsize=None)
 def reference_lower_bound(n: int, s: int) -> BoundFact:
     """The rule engine without its per-n candidate table: every candidate
@@ -117,16 +122,15 @@ def reference_lower_bound(n: int, s: int) -> BoundFact:
         ProofTree(RULE_TRIVIAL, Fraction(1), params=(("n", n), ("s", s)))
     ]
 
-    cases = [("n+1", n + 1), ("n+2", n + 2)]
-    cases.append(("n+3-even" if n % 2 == 0 else "n+3-odd", n + 3))
-    for case, s0 in cases:
+    cases = [("n+1", n + 1, Fraction(n + 1, n)), ("n+2", n + 2, Fraction(n + 2, n))]
+    if n % 2 == 0:
+        cases.append(("n+3-even", n + 3, Fraction(n + 2, n)))
+    else:
+        cases.append(("n+3-odd", n + 3, 1 + Fraction(2, n) + Fraction(2, n**3 + 2 * n**2 - n)))
+    for case, s0, value in cases:
         if s >= s0:
-            inner = ProofTree(
-                RULE_SMALL_COUNT,
-                _small_count_value(n, case),
-                params=(("n", n), ("s", s0), ("case", case)),
-            )
-            candidates.append(_monotone(s, s0, inner))
+            inner = ProofTree(RULE_SMALL_COUNT, value, params=(("n", n), ("s", s0), ("case", case)))
+            candidates.append(_reference_monotone(s, s0, inner))
 
     k = _floor_nth_root(s, n)
     if k >= 2:
@@ -137,11 +141,21 @@ def reference_lower_bound(n: int, s: int) -> BoundFact:
         )
 
     for fact in catalog(n):
-        tree = _certified_tree(fact)
+        tree = ProofTree(
+            RULE_CERTIFIED,
+            fact.bound,
+            params=(
+                ("n", n),
+                ("profile", fact.profile.runs),
+                ("num", fact.bound.numerator),
+                ("den", fact.bound.denominator),
+            ),
+            certificate=fact.certificate,
+        )
         if fact.profile.is_simple:
             s0 = fact.profile.npoints
             if s >= s0:
-                candidates.append(_monotone(s, s0, tree))
+                candidates.append(_reference_monotone(s, s0, tree))
         else:
             pair = fact.profile.doubles_and_singles()
             if pair is not None:
@@ -154,7 +168,7 @@ def reference_lower_bound(n: int, s: int) -> BoundFact:
                         params=(("n", n), ("s0", s0), ("doubles", b), ("singles", c)),
                         premises=(tree,),
                     )
-                    candidates.append(_monotone(s, s0, lifted))
+                    candidates.append(_reference_monotone(s, s0, lifted))
 
     b = s >> n
     if b >= 1:

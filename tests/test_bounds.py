@@ -6,6 +6,13 @@ import pytest
 
 from fatpoints import bounds
 from fatpoints.bounds import (
+    RULE_BLOCK_DOUBLING,
+    RULE_DECOMPOSE,
+    RULE_MONOTONE,
+    RULE_ROOT_COUNT,
+    RULE_SMALL_COUNT,
+    RULE_TRIVIAL,
+    ProofTree,
     alpha_generic,
     bound_fact_to_dict,
     chudnovsky_check,
@@ -18,6 +25,7 @@ from fatpoints.bounds import (
     report_to_dict,
     waldschmidt_lower_bound,
 )
+from fatpoints.facts import catalog
 from helpers import SWEEP_STOPS, reference_lower_bound
 
 F = Fraction
@@ -69,10 +77,12 @@ def test_bound_monotone_in_count():
 
 
 def test_every_derivation_replays():
-    for n in (2, 3, 4, 5, 6):
-        for s in range(1, 90, 7):
+    # the acceptance grid: every count for n <= 6, every 7th for n >= 7
+    for n, stop in SWEEP_STOPS.items():
+        for s in range(1, stop + 1, 1 if n <= 6 else 7):
             fact = waldschmidt_lower_bound(n, s)
-            assert replay_proof_tree(fact.derivation) == fact.bound
+            assert replay_proof_tree(fact.derivation) == fact.bound, (n, s)
+            assert bounds._subject(fact.derivation) == (n, s)
 
 
 def test_replay_rejects_tampered_tree():
@@ -84,14 +94,100 @@ def test_replay_rejects_tampered_tree():
         replay_proof_tree(forged)
 
 
+ROOT_LEAF = ProofTree(RULE_ROOT_COUNT, F(10), (("n", 4), ("s", 10**4), ("scale", 10)))
+
+
+def _fat_certified() -> ProofTree:
+    fact = next(f for f in catalog(4) if f.profile.runs == ((2, 4), (1, 7)))
+    return bounds._certified_system(fact)
+
+
+def _decompose_5_22(value, **changes) -> ProofTree:
+    # the engine's tree for 22 points in P^5: a = (2, 3/2), value 7/4
+    tree = waldschmidt_lower_bound(5, 22).derivation
+    assert tree.rule == RULE_DECOMPOSE and tree.value == F(7, 4)
+    params = tuple((key, changes.get(key, v)) for key, v in tree.params)
+    return ProofTree(RULE_DECOMPOSE, value, params, tree.premises)
+
+
+# trees that no engine run can build, each with the reason replay gives; the
+# first three would otherwise replay to bounds above the engine's (20 against
+# 2 for 16 points in P^4, 10 against 1 for 3, 23/10 against 8/5 for 12)
+FORGED = {
+    "block-doubling over another count": (
+        lambda: ProofTree(
+            RULE_BLOCK_DOUBLING, F(20), (("n", 4), ("s", 16), ("b", 1)), (ROOT_LEAF,)
+        ),
+        r"block-doubling premise must bound 1 points in P\^4, not \(4, 10000\)",
+    ),
+    "monotone downward": (
+        lambda: ProofTree(RULE_MONOTONE, F(10), (("s", 3), ("s0", 2)), (ROOT_LEAF,)),
+        "monotonicity applied downward, from 10000 to 3 points",
+    ),
+    "monotone over a fat profile": (
+        lambda: ProofTree(RULE_MONOTONE, F(23, 10), (("s", 12), ("s0", 11)), (_fat_certified(),)),
+        "monotonicity needs a premise about simple points, not a fat profile",
+    ),
+    "small-count off its own count": (
+        lambda: ProofTree(RULE_SMALL_COUNT, F(5, 4), (("n", 4), ("s", 6), ("case", "n+1"))),
+        r"rebuilt small-count node 5/4 \(\('n', 4\), \('s', 5\)",
+    ),
+    "root-count below its scale": (
+        lambda: ProofTree(RULE_ROOT_COUNT, F(2), (("n", 4), ("s", 81), ("scale", 2))),
+        r"rebuilt root-count node 3 \(\('n', 4\), \('s', 81\), \('scale', 3\)\)",
+    ),
+    "block-doubling below s >> n": (
+        lambda: ProofTree(
+            RULE_BLOCK_DOUBLING,
+            F(2),
+            (("n", 4), ("s", 32), ("b", 1)),
+            (waldschmidt_lower_bound(4, 1).derivation,),
+        ),
+        r"block-doubling premise must bound 2 points in P\^4, not \(4, 1\)",
+    ),
+    "decompose part below its premise": (
+        lambda: _decompose_5_22(F(3, 2), a=((3, 2), (3, 2))),
+        r"rebuilt decompose node 7/4 .*\('a', \(\(2, 1\), \(3, 2\)\)\)",
+    ),
+    "decompose scope altered": (
+        lambda: _decompose_5_22(F(7, 4), scope="generic"),
+        r"rebuilt decompose node 7/4 .*\('scope', 'very-general-from-generic'\)",
+    ),
+    "monotone at its own count": (
+        lambda: ProofTree(
+            RULE_MONOTONE,
+            F(5, 4),
+            (("s", 5), ("s0", 5)),
+            (ProofTree(RULE_SMALL_COUNT, F(5, 4), (("n", 4), ("s", 5), ("case", "n+1"))),),
+        ),
+        r"stored monotone node 5/4 .* rebuilt small-count node 5/4",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, reason", FORGED.values(), ids=FORGED.keys())
+def test_replay_rejects_trees_the_engine_cannot_build(build, reason):
+    with pytest.raises(ValueError, match=reason):
+        replay_proof_tree(build())
+
+
+def test_replay_names_a_missing_param():
+    with pytest.raises(ValueError, match="trivial node has no param 'n'"):
+        replay_proof_tree(ProofTree(RULE_TRIVIAL, F(1), ()))
+
+
 @pytest.mark.parametrize(
-    "n, s, case",
-    [(4, 9, "bogus"), (5, 9, "n+3-even"), (4, 9, "n+3-odd"), (4, 6, "n+3-even")],
+    "n, s, case, value",
+    [
+        (4, 9, "bogus", F(3, 2)),
+        (5, 9, "n+3-even", F(7, 5)),
+        (4, 9, "n+3-odd", 1 + F(2, 4) + F(2, 4**3 + 2 * 4**2 - 4)),
+        (4, 6, "n+3-even", F(6, 4)),
+    ],
     ids=["unknown-case", "even-case-odd-n", "odd-case-even-n", "too-few-points"],
 )
-def test_replay_rejects_small_count_cases_that_do_not_hold(n, s, case):
+def test_replay_rejects_small_count_cases_that_do_not_hold(n, s, case, value):
     # a known case stores its own closed form, so only applicability can fail
-    value = F(3, 2) if case == "bogus" else bounds._small_count_value(n, case)
     tree = bounds.ProofTree(bounds.RULE_SMALL_COUNT, value, (("n", n), ("s", s), ("case", case)))
     with pytest.raises(ValueError):
         replay_proof_tree(tree)
