@@ -17,10 +17,11 @@ Every returned bound carries a derivation tree; `replay_proof_tree`
 rebuilds each node with the engine's own rule constructors and ties each
 premise to its parent.
 
-Most candidates do not depend on s: the small-count values, the certified
-facts with the point count each applies from, and each decompose level's
-value and premises.  They sit in a per-n candidate table, built once per
-catalog(n) (decompose levels when a point count first reaches them).
+Each call builds its candidates afresh from the small-count table and
+catalog(n); the only memo is the engine's own cache.  A decompose value
+(1 - 1/a1) * a2 + 1 with a1, a2 <= 2 is never above 2, so the engine walks
+the decompose levels, whose premises are bounds one dimension down, only
+when every other candidate is below 2.
 
 Constant segments.  As a function of s, every candidate is a nondecreasing
 step function whose steps sit at counts known in advance (a candidate that
@@ -42,15 +43,15 @@ value, is a step at the count it starts to apply from):
 
 The last line is an induction on s (floor(s / 2^n) < s), and with it the
 bound, the maximum over present candidates, is nondecreasing with every step
-at 1 or at one of those counts (`_CandidateTable.breakpoints`).  Between two
-consecutive breakpoints the set of present candidates and their values are
-fixed, so the bound and the winning rule (the first maximal candidate in a
-fixed order) are too; only the params that record s differ.  The Chudnovsky
-rhs depends on s through alpha alone, which steps only at C(d+n, n); the HH
-rhs through reg alone, which steps only at C(n+l, n) + 1.  So on a segment
-that has no breakpoint of the bound, nor a step of its check's rhs, inside
-it, the check's bound, rhs and verdict are constant: `verdict_segments` cuts
-a sweep there, and the sweep runs one check per segment.
+at 1 or at one of those counts (`_breakpoints`).  Between two consecutive
+breakpoints the set of present candidates and their values are fixed, so the
+bound and the winning rule (the first maximal candidate in a fixed order) are
+too; only the params that record s differ.  The Chudnovsky rhs depends on s
+through alpha alone, which steps only at C(d+n, n); the HH rhs through reg
+alone, which steps only at C(n+l, n) + 1.  So on a segment that has no
+breakpoint of the bound, nor a step of its check's rhs, inside it, the
+check's bound, rhs and verdict are constant: `verdict_segments` cuts a sweep
+there, and the sweep runs one check per segment.
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ def regularity_generic(n: int, s: int) -> int:
 
 
 def _validate(n: int, s: int) -> None:
+    if type(n) is not int or type(s) is not int:
+        raise ValueError(f"dimension and point count must be integers, got {n!r} and {s!r}")
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
     if s < 1:
@@ -164,7 +167,8 @@ def _small_counts(n: int) -> dict[str, tuple[int, Fraction]]:
     """case -> (s0, value) for the small-count cases that hold in P^n: s0
     points have constant at least value.  The n+3 case is split by parity."""
     if n % 2:
-        n3 = {"n+3-odd": (n + 3, 1 + Fraction(2, n) + Fraction(2, n**3 + 2 * n**2 - n))}
+        # 1 + 2/n + 2/(n^3 + 2n^2 - n), as one fraction
+        n3 = {"n+3-odd": (n + 3, Fraction((n + 1) * (n + 3), n**2 + 2 * n - 1))}
     else:
         n3 = {"n+3-even": (n + 3, Fraction(n + 2, n))}
     return {"n+1": (n + 1, Fraction(n + 1, n)), "n+2": (n + 2, Fraction(n + 2, n)), **n3}
@@ -197,7 +201,7 @@ def _small_count(n: int, case: str) -> ProofTree:
     """The closed form of `case` at its own point count in P^n."""
     _validate(n, 1)
     cases = _small_counts(n)
-    if case not in cases:
+    if type(case) is not str or case not in cases:
         raise ValueError(f"small-count case {case!r} does not hold in P^{n}")
     s0, value = cases[case]
     return ProofTree(RULE_SMALL_COUNT, value, (("n", n), ("s", s0), ("case", case)))
@@ -236,6 +240,7 @@ def _monotone(s: int, premise: ProofTree) -> ProofTree:
     subject = _subject(premise)
     if subject is None:
         raise ValueError("monotonicity needs a premise about simple points, not a fat profile")
+    _validate(subject[0], s)
     s0 = subject[1]
     if s < s0:
         raise ValueError(f"monotonicity applied downward, from {s0} to {s} points")
@@ -246,6 +251,7 @@ def _monotone(s: int, premise: ProofTree) -> ProofTree:
 
 def _block_doubling(n: int, s: int, premise: ProofTree) -> ProofTree:
     """Twice the bound of a premise about floor(s / 2^n) >= 1 points in P^n."""
+    _validate(n, s)
     b, subject = s >> n, _subject(premise)
     if subject != (n, b):
         raise ValueError(f"block-doubling premise must bound {b} points in P^{n}, not {subject}")
@@ -256,6 +262,7 @@ def _block_doubling(n: int, s: int, premise: ProofTree) -> ProofTree:
 def _decompose(n: int, s: int, premises: tuple[ProofTree, ...]) -> ProofTree:
     """s >= r1 + r2 points split across a hyperplane, from premises about r1
     and r2 simple points in P^(n-1), each used at a_j = min(its bound, 2)."""
+    _validate(n, s)
     subjects = tuple(map(_subject, premises))
     if len(subjects) != 2 or None in subjects or {m for m, _ in subjects} != {n - 1}:
         raise ValueError(f"decompose needs two premises about simple points in P^{n - 1}")
@@ -269,82 +276,36 @@ def _decompose(n: int, s: int, premises: tuple[ProofTree, ...]) -> ProofTree:
     return ProofTree(RULE_DECOMPOSE, value, params, premises)
 
 
-class _CandidateTable:
-    """The candidates for s points in P^n whose value does not depend on s.
-
-    `small_counts` and `certified` hold (s0, tree): each applies from s0
-    points on, by monotonicity over `tree`.  Decompose levels are built
-    the first time a point count reaches them, since their premises are
-    bounds one dimension down.
-    """
-
-    def __init__(self, n: int, facts: tuple[WaldschmidtFact, ...]) -> None:
-        self.n = n
-        self.facts = facts
-        trees = [_small_count(n, case) for case in _small_counts(n)]
-        self.small_counts = [(_subject(tree)[1], tree) for tree in trees]
-
-        self.certified = []
-        for fact in facts:
-            tree = _certified_system(fact)
-            if fact.profile.doubles_and_singles() is not None:
-                tree = _unit_to_double(tree)
-            elif not fact.profile.is_simple:
-                continue
-            self.certified.append((_subject(tree)[1], tree))
-
-        # level l splits C(n+l, n) + 1 points as r1 + r2 across a hyperplane
-        self._level_sizes = [(level, binomial(n + level, n) + 1) for level in range(2, n - 1)]
-        # level -> (value, premises) of the first maximal level up to it
-        self._best_levels: dict[int, tuple[Fraction, tuple] | None] = {}
-
-    def breakpoints(self, stop: int) -> list[int]:
-        """The counts in 1..stop at which a candidate above may step; the
-        bound and the winning rule are constant from one to the next."""
-        if stop < 1:
-            return []
-        n = self.n
-        steps = {1}
-        steps.update(s0 for s0, _ in self.small_counts)
-        steps.update(s0 for s0, _ in self.certified)
-        steps.update(size for _, size in self._level_sizes)
-        k = 2
-        while k**n <= stop:
-            steps.add(k**n)
-            k += 1
-        steps.update(b << n for b in self.breakpoints(stop >> n))
-        return sorted(s for s in steps if s <= stop)
-
-    def decompose_level(self, s: int) -> tuple[Fraction, tuple] | None:
-        """(value, premises) of the first maximal decompose level that
-        applies to s points, if one does; a level applies only when its
-        first part is worth more than 1."""
-        n, best = self.n, None
-        for level, size in self._level_sizes:
-            if s < size:
-                break
-            if level not in self._best_levels:
-                rs = (binomial(n - 1 + level, n - 1) + 1, binomial(n - 1 + level, n))
-                premises = tuple(waldschmidt_lower_bound(n - 1, r).derivation for r in rs)
-                if premises[0].value > 1:
-                    value = _decompose(n, size, premises).value
-                    best = (value, premises) if best is None or value > best[0] else best
-                self._best_levels[level] = best
-            best = self._best_levels[level]
-        return best
+def _certified_candidates(n: int) -> list[tuple[int, ProofTree]]:
+    """(s0, tree) for each cataloged fact that bounds simple points in P^n:
+    it applies from s0 points on, by monotonicity over `tree`."""
+    certified = []
+    for fact in catalog(n):
+        tree = _certified_system(fact)
+        if fact.profile.doubles_and_singles() is not None:
+            tree = _unit_to_double(tree)
+        elif not fact.profile.is_simple:
+            continue
+        certified.append((_subject(tree)[1], tree))
+    return certified
 
 
-_tables: dict[int, _CandidateTable] = {}
-
-
-def _candidate_table(n: int) -> _CandidateTable:
-    # rebuilt whenever catalog(n) is, so clearing the catalog cache also
-    # clears the table and the bounds its decompose premises hold
-    facts = catalog(n)
-    table = _tables.get(n)
-    if table is None or table.facts is not facts:
-        table = _tables[n] = _CandidateTable(n, facts)
-    return table
+def _breakpoints(n: int, stop: int) -> list[int]:
+    """The counts in 1..stop at which a candidate for P^n may step; the
+    bound and the winning rule are constant from one to the next."""
+    if stop < 1:
+        return []
+    steps = {1}
+    steps.update(s0 for s0, _ in _small_counts(n).values())
+    steps.update(s0 for s0, _ in _certified_candidates(n))
+    # decompose level l splits C(n+l, n) + 1 points across a hyperplane
+    steps.update(binomial(n + level, n) + 1 for level in range(2, n - 1))
+    k = 2
+    while k**n <= stop:
+        steps.add(k**n)
+        k += 1
+    steps.update(b << n for b in _breakpoints(n, stop >> n))
+    return sorted(s for s in steps if s <= stop)
 
 
 @lru_cache(maxsize=None)
@@ -352,22 +313,29 @@ def waldschmidt_lower_bound(n: int, s: int) -> BoundFact:
     """Best derivable lower bound for s generic simple points in P^n.
 
     The candidates are listed in the order trivial, small-count, root-count,
-    certified, block-doubling, decompose; the first maximal one wins.  So a
-    decompose node is built only for the first maximal level, and only when
-    it is worth more than every other candidate.
+    certified, block-doubling, decompose (one per level, in level order);
+    the first maximal one wins.
     """
     candidates = [_trivial(n, s)]
-    table = _candidate_table(n)
-    candidates += [_monotone(s, tree) for s0, tree in table.small_counts if s >= s0]
+    for case, (s0, _) in _small_counts(n).items():
+        if s >= s0:
+            candidates.append(_monotone(s, _small_count(n, case)))
     if s >= 2**n:
         candidates.append(_root_count(n, s))
-    candidates += [_monotone(s, tree) for s0, tree in table.certified if s >= s0]
+    candidates += [_monotone(s, tree) for s0, tree in _certified_candidates(n) if s >= s0]
     if s >> n:
         candidates.append(_block_doubling(n, s, waldschmidt_lower_bound(n, s >> n).derivation))
     tree = max(candidates, key=lambda t: t.value)
-    level = table.decompose_level(s)
-    if level is not None and level[0] > tree.value:
-        tree = _decompose(n, s, level[1])
+    # a decompose value (1 - 1/a1) * a2 + 1 with a1, a2 <= 2 is at most 2
+    if tree.value < 2:
+        for level in range(2, n - 1):
+            rs = (binomial(n - 1 + level, n - 1) + 1, binomial(n - 1 + level, n))
+            if s < sum(rs):
+                break
+            premises = tuple(waldschmidt_lower_bound(n - 1, r).derivation for r in rs)
+            if premises[0].value > 1:
+                decomposed = _decompose(n, s, premises)
+                tree = decomposed if decomposed.value > tree.value else tree
     return BoundFact(n, Profile.simple(s), tree.value, tree)
 
 
@@ -377,7 +345,7 @@ def verdict_segments(n: int, start: int, stop: int, check: str) -> list[tuple[in
     if start > stop:
         return []
     _validate(n, start)
-    cuts = set(_candidate_table(n).breakpoints(stop))
+    cuts = set(_breakpoints(n, stop))
     # the hh rhs steps with reg at C(n+l, n) + 1, the chudnovsky one with
     # alpha at C(n+d, n)
     shift = {"hh": 1, "chudnovsky": 0}[check]
@@ -422,12 +390,28 @@ def decomposition_bound(
 # replay: every node rebuilt by its rule's constructor
 
 
+# the engine's trees are 7 deep over the acceptance grid and at most n - 3
+# deep, 61 at n = 64, the last dimension whose catalog builds
+MAX_PROOF_DEPTH = 128
+
+
 def replay_proof_tree(tree: ProofTree) -> Fraction:
     """Replay each premise, then rebuild the node with its rule's constructor
-    from its params and premises; raises ValueError unless every rebuilt node
-    equals the stored one, and returns the bound."""
+    from its params and premises; raises ValueError if the tree is deeper
+    than MAX_PROOF_DEPTH or unless every rebuilt node equals the stored one,
+    and returns the bound."""
+    level = [tree]
+    for _ in range(MAX_PROOF_DEPTH):
+        # premises shared by several nodes are counted once
+        level = list({id(p): p for node in level for p in node.premises}.values())
+        if not level:
+            return _replay(tree)
+    raise ValueError(f"derivation is deeper than {MAX_PROOF_DEPTH} levels")
+
+
+def _replay(tree: ProofTree) -> Fraction:
     for premise in tree.premises:
-        replay_proof_tree(premise)
+        _replay(premise)
     rule, param, premises = tree.rule, tree.param, tree.premises
     if rule in (RULE_UNIT_TO_DOUBLE, RULE_MONOTONE, RULE_BLOCK_DOUBLING) and len(premises) != 1:
         raise ValueError(f"rule {rule} needs exactly one premise")

@@ -111,7 +111,7 @@ def _cmd_prove_empty(args) -> int:
         with open(args.script) as fh:
             cert = prove_with_script(system, json.load(fh))
     else:
-        cert = prove_empty(system, args.strategy)
+        cert = prove_empty(system)
     if cert is None:
         sys.stderr.write(
             to_canonical_json({"failure": "no emptiness proof found", "system": str(system)})
@@ -224,7 +224,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=_affine, required=True)
     p.add_argument("--mults", type=_mults, required=True)
-    p.add_argument("--strategy", choices=["greedy"], default="greedy")
     p.add_argument("--script", help="JSON proof script file")
 
     p = add("verify", _cmd_verify, help="verify a certificate file ('-' for stdin)")

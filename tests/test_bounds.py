@@ -162,6 +162,44 @@ FORGED = {
         ),
         r"stored monotone node 5/4 .* rebuilt small-count node 5/4",
     ),
+    "trivial with a text dimension": (
+        lambda: ProofTree(RULE_TRIVIAL, F(1), (("n", "4"), ("s", 3))),
+        "dimension and point count must be integers, got '4' and 3",
+    ),
+    "trivial with a bool count": (
+        lambda: ProofTree(RULE_TRIVIAL, F(1), (("n", 4), ("s", True))),
+        "dimension and point count must be integers, got 4 and True",
+    ),
+    "small-count with a list case": (
+        lambda: ProofTree(RULE_SMALL_COUNT, F(5, 4), (("n", 4), ("s", 5), ("case", ["n+1"]))),
+        r"small-count case \['n\+1'\] does not hold in P\^4",
+    ),
+    "root-count at a float count": (
+        lambda: ProofTree(RULE_ROOT_COUNT, F(2), (("n", 2), ("s", 4.0), ("scale", 2))),
+        "dimension and point count must be integers, got 2 and 4.0",
+    ),
+    "root-count at a fractional count": (
+        lambda: ProofTree(RULE_ROOT_COUNT, F(2), (("n", 2), ("s", 4.5), ("scale", 2))),
+        "dimension and point count must be integers, got 2 and 4.5",
+    ),
+    "monotone to a fractional count": (
+        lambda: ProofTree(
+            RULE_MONOTONE,
+            F(5, 4),
+            (("s", 5.5), ("s0", 5)),
+            (ProofTree(RULE_SMALL_COUNT, F(5, 4), (("n", 4), ("s", 5), ("case", "n+1"))),),
+        ),
+        "dimension and point count must be integers, got 4 and 5.5",
+    ),
+    "block-doubling at a float count": (
+        lambda: ProofTree(
+            RULE_BLOCK_DOUBLING,
+            F(2),
+            (("n", 2), ("s", 4.0), ("b", 1)),
+            (waldschmidt_lower_bound(2, 1).derivation,),
+        ),
+        "dimension and point count must be integers, got 2 and 4.0",
+    ),
 }
 
 
@@ -169,6 +207,21 @@ FORGED = {
 def test_replay_rejects_trees_the_engine_cannot_build(build, reason):
     with pytest.raises(ValueError, match=reason):
         replay_proof_tree(build())
+
+
+def _monotone_chain(depth: int) -> ProofTree:
+    # depth - 1 monotone steps over the 5-point small-count leaf in P^4
+    tree = ProofTree(RULE_SMALL_COUNT, F(5, 4), (("n", 4), ("s", 5), ("case", "n+1")))
+    for s in range(6, 5 + depth):
+        tree = ProofTree(RULE_MONOTONE, tree.value, (("s", s), ("s0", s - 1)), (tree,))
+    return tree
+
+
+def test_replay_rejects_trees_deeper_than_the_limit():
+    assert replay_proof_tree(_monotone_chain(bounds.MAX_PROOF_DEPTH)) == F(5, 4)
+    for depth in (bounds.MAX_PROOF_DEPTH + 1, 3000):
+        with pytest.raises(ValueError, match="derivation is deeper than"):
+            replay_proof_tree(_monotone_chain(depth))
 
 
 def test_replay_names_a_missing_param():
@@ -201,6 +254,15 @@ def test_decomposition_bound_values():
     value = decomposition_bound(n + 1, [(16, a1), (6, a2)], 1)
     assert value == F(level + 1) * (n + level) / ((n + level + 1) * n) + 1
     assert value > 1 + F(level + 1, n + 1)
+
+
+def test_decomposition_bound_is_at_most_two():
+    # why the engine walks decompose levels only below 2, in any dimension
+    grid = sorted({F(p, q) for q in range(1, 13) for p in range(q, 2 * q + 1)})
+    for n in (3, 11, 20, 64):
+        for a1 in (a for a in grid if a > 1):
+            for a2 in grid:
+                assert decomposition_bound(n, [(1, a1), (1, a2)], 1) <= 2, (n, a1, a2)
 
 
 def test_decomposition_bound_hypotheses():
@@ -314,7 +376,7 @@ def _candidate_rule(tree):
 
 def test_bound_is_constant_between_breakpoints():
     for n, stop in SWEEP_STOPS.items():
-        cuts = bounds._candidate_table(n).breakpoints(stop)
+        cuts = bounds._breakpoints(n, stop)
         assert cuts[0] == 1
         first = None
         for s in range(1, stop + 1):

@@ -455,6 +455,7 @@ def test_usage_errors_exit_64():
         ["prove-empty", "--n", "4", "--degree", "8,-1,-2", "--mults", "5,0:8"],
         ["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0"],
         ["sweep", "--n", "4", "--from", "1", "--to", "5", "--check", "nope"],
+        ["prove-empty", "--n", "4", "--degree", "8,-1", "--mults", "5,0:8", "--strategy", "greedy"],
         ["no-such-command"],
     ):
         code, _, _ = invoke(argv)
