@@ -390,8 +390,8 @@ def decomposition_bound(
 # replay: every node rebuilt by its rule's constructor
 
 
-# the engine's trees are 7 deep over the acceptance grid and at most n - 3
-# deep, 61 at n = 64, the last dimension whose catalog builds
+# the engine's trees are 7 deep over the acceptance grid and n - 3 deep at
+# s = 2^n - 1: 61 at n = 64, the last dimension whose catalog builds
 MAX_PROOF_DEPTH = 128
 
 
