@@ -391,7 +391,7 @@ def decomposition_bound(
 
 
 # the engine's trees are 7 deep over the acceptance grid and n - 3 deep at
-# s = 2^n - 1: 61 at n = 64, the last dimension whose catalog builds
+# s = 2^n - 1: 61 at n = 64
 MAX_PROOF_DEPTH = 128
 
 
@@ -405,13 +405,14 @@ def replay_proof_tree(tree: ProofTree) -> Fraction:
         # premises shared by several nodes are counted once
         level = list({id(p): p for node in level for p in node.premises}.values())
         if not level:
-            return _replay(tree)
+            return _replay(tree, set())
     raise ValueError(f"derivation is deeper than {MAX_PROOF_DEPTH} levels")
 
 
-def _replay(tree: ProofTree) -> Fraction:
+def _replay(tree: ProofTree, replayed: set[int]) -> Fraction:
     for premise in tree.premises:
-        _replay(premise)
+        if id(premise) not in replayed:
+            _replay(premise, replayed)
     rule, param, premises = tree.rule, tree.param, tree.premises
     if rule in (RULE_UNIT_TO_DOUBLE, RULE_MONOTONE, RULE_BLOCK_DOUBLING) and len(premises) != 1:
         raise ValueError(f"rule {rule} needs exactly one premise")
@@ -440,6 +441,7 @@ def _replay(tree: ProofTree) -> Fraction:
             f"stored {rule} node {tree.value} {tree.params} differs from the "
             f"rebuilt {rebuilt.rule} node {rebuilt.value} {rebuilt.params}"
         )
+    replayed.add(id(tree))
     return tree.value
 
 

@@ -19,6 +19,11 @@ A certificate is a chain of steps under four rules, each a prover's move:
   the degree), an `evain_axiom` instance, or a `merge_empty` of two
   previously certified claims.
 
+Each rule has one constructor (`reduce_full`, `_contradiction`, `_evain`,
+`_merge`) that checks its hypotheses, raising with the verifier's reason, and
+builds the step; the provers call it, and `verify_certificate` rebuilds every
+step with it and compares the rebuilt step with the stored one.
+
 Certificates serialize to canonical JSON and replay exactly; the parser
 accepts only a document that re-encodes to itself.  A step sets only the
 side fields its rule reads; the verifier rejects any other field that does
@@ -241,14 +246,21 @@ def contradiction_step(sys: FatPointSystem) -> ReductionStep | None:
         t = positive_threshold(run.value - sys.degree)
         if t is not None and (best is None or t < best[1]):
             best = (idx, t)
-    if best is None:
-        return None
+    return None if best is None else _contradiction(sys, best[0])
+
+
+def _contradiction(sys: FatPointSystem, witness: int | None) -> ReductionStep:
+    if witness is None or not 0 <= witness < len(sys.mults):
+        raise ReductionError("contradiction witness index out of range")
+    t = positive_threshold(sys.mults[witness].value - sys.degree)
+    if t is None:
+        raise ReductionError("witness multiplicity does not eventually exceed the degree")
     return ReductionStep(
         rule=RULE_CONTRADICTION,
         input=sys,
         output=None,
-        witness=best[0],
-        threshold=best[1],
+        witness=witness,
+        threshold=t,
     )
 
 
@@ -256,63 +268,71 @@ def contradiction_step(sys: FatPointSystem) -> ReductionStep | None:
 # proof search
 
 
-def prove_empty(
-    sys: FatPointSystem,
-    strategy: str | Sequence[Sequence[int]] = "greedy",
-) -> Certificate | None:
-    """Search for an emptiness certificate.
+def prove_empty(sys: FatPointSystem) -> Certificate | None:
+    """Search for an emptiness certificate greedily.
 
-    "greedy" repeatedly reduces on the n+1 eventually-largest multiplicities
-    while k stays eventually negative, stopping at the first contradiction.  A
-    pivot list replays that explicit sequence instead.  Returns None on
-    failure (GREEDY_BUDGET exhausted or no reducing move) -- not a disproof.
+    Repeatedly reduces on the n+1 eventually-largest multiplicities while k
+    stays eventually negative, stopping at the first contradiction.  Returns
+    None on failure (GREEDY_BUDGET exhausted or no reducing move) -- not a
+    disproof.
     """
     steps: list[ReductionStep] = []
     current = sys
+    for _ in range(GREEDY_BUDGET):
+        contra = contradiction_step(current)
+        if contra is not None:
+            return _certificate(sys, [*steps, contra])
+        if current.point_count < current.n + 1:
+            return None
+        step = reduce_full(current)
+        if not step_is_reducing(step):
+            return None
+        steps.append(step)
+        current = step.output
+    return None
 
-    def finish(contra: ReductionStep) -> Certificate:
-        steps.append(contra)
-        m0 = max(s.threshold for s in steps)
-        return Certificate(sys, tuple(steps), m0)
 
-    if strategy == "greedy":
-        for _ in range(GREEDY_BUDGET):
-            contra = contradiction_step(current)
-            if contra is not None:
-                return finish(contra)
-            if current.point_count < current.n + 1:
-                return None
-            step = reduce_full(current)
-            if not step_is_reducing(step):
-                return None
-            steps.append(step)
-            current = step.output
-        return None
-
-    for piv in strategy:
-        step = reduce_full(current, pivot=tuple(piv))
+def _prove_by_pivots(sys: FatPointSystem, pivots: Sequence[Sequence[int]]) -> Certificate | None:
+    """Reduce on each pivot in turn, then look for a contradiction."""
+    steps: list[ReductionStep] = []
+    current = sys
+    for pivot in pivots:
+        step = reduce_full(current, pivot)
         steps.append(step)
         current = step.output
     contra = contradiction_step(current)
-    if contra is None:
-        return None
-    return finish(contra)
+    return None if contra is None else _certificate(sys, [*steps, contra])
+
+
+def _certificate(claim: FatPointSystem, steps: Sequence[ReductionStep]) -> Certificate:
+    return Certificate(claim, tuple(steps), max(step.threshold for step in steps))
 
 
 def evain_certificate(n: int, scale: int, value) -> Certificate:
     """Axiom certificate: scale^n points of multiplicity v have no form of
     degree scale*v - 1, for any integer scale >= 2 and v eventually >= 1."""
-    if scale < 2:
-        raise ValueError("axiom requires scale >= 2")
     v = AffineValue.of(value)
-    t = nonneg_threshold(v - ONE)
-    if t is None:
-        raise ValueError(f"multiplicity {v} is not eventually >= 1")
     claim = FatPointSystem.build(n, v.scaled(scale) - ONE, [(v, scale**n)])
-    step = ReductionStep(
-        rule=RULE_EVAIN, input=claim, output=None, scale=scale, threshold=t
+    return _certificate(claim, [_evain(claim, scale)])
+
+
+def _evain(sys: FatPointSystem, scale: int | None) -> ReductionStep:
+    if scale is None or scale < 2:
+        raise ValueError("axiom scale must be >= 2")
+    if len(sys.mults) != 1:
+        raise ValueError("axiom claim must have a single multiplicity value")
+    run = sys.mults[0]
+    # scale^n >= 2^(n * (bits of scale - 1)): skip the power, huge at a forged n
+    if sys.n * (scale.bit_length() - 1) >= run.count.bit_length() or run.count != scale**sys.n:
+        raise ValueError(f"axiom claim needs {scale}^{sys.n} points, has {run.count}")
+    if sys.degree != run.value.scaled(scale) - ONE:
+        raise ValueError("axiom degree must be scale*multiplicity - 1")
+    t = nonneg_threshold(run.value - ONE)
+    if t is None:
+        raise ValueError("axiom multiplicity is not eventually >= 1")
+    return ReductionStep(
+        rule=RULE_EVAIN, input=sys, output=None, scale=scale, threshold=t
     )
-    return Certificate(claim, (step,), t)
 
 
 def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
@@ -325,12 +345,6 @@ def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
     """
     if 1 + max(_nesting(cert_a), _nesting(cert_b)) > MAX_NESTING:
         raise MergeError(f"merged certificate would nest more than {MAX_NESTING} levels deep")
-    for name, cert in (("first", cert_a), ("second", cert_b)):
-        res = verify_certificate(cert)
-        if not res:
-            raise MergeError(f"{name} certificate fails verification: {res.reason}")
-    if cert_a.claim.n != cert_b.claim.n:
-        raise MergeError("certificates live in different ambient dimensions")
     key = cert_a.claim.degree + ONE
     removed = None
     for idx, run in enumerate(cert_b.claim.mults):
@@ -341,17 +355,8 @@ def merge_empty(cert_a: Certificate, cert_b: Certificate) -> Certificate:
         raise MergeError(
             f"no multiplicity {key} (= first claim's degree + 1) in second claim"
         )
-    claim = _merged_claim(cert_a, cert_b, removed)
-    m0 = max(cert_a.m0, cert_b.m0)
-    step = ReductionStep(
-        rule=RULE_MERGE,
-        input=claim,
-        output=None,
-        removed=removed,
-        refs=(cert_a, cert_b),
-        threshold=m0,
-    )
-    return Certificate(claim, (step,), m0)
+    step = _merge((cert_a, cert_b), removed, cert_b.claim.n)
+    return _certificate(step.input, [step])
 
 
 def _nesting(cert: Certificate) -> int:
@@ -359,16 +364,38 @@ def _nesting(cert: Certificate) -> int:
     return 1 + max((_nesting(ref) for step in cert.steps for ref in step.refs), default=0)
 
 
-def _merged_claim(cert_a: Certificate, cert_b: Certificate, removed: int) -> FatPointSystem:
-    """cert_b's claim with one point of its run `removed` replaced by all of
-    cert_a's points."""
+def _merge(refs: Sequence[Certificate], removed: int | None, n: int) -> ReductionStep:
+    """The merge of two verified claims in P^n: the second claim with one
+    point of its run `removed` replaced by all of the first claim's points."""
+    if len(refs) != 2:
+        raise MergeError("merge step needs exactly two sub-certificates")
+    cert_a, cert_b = refs
+    for name, ref in (("first", cert_a), ("second", cert_b)):
+        res = verify_certificate(ref)
+        if not res:
+            raise MergeError(
+                f"{name} sub-certificate fails at step {res.failed_step}: {res.reason}"
+            )
+    if cert_a.claim.n != cert_b.claim.n or cert_a.claim.n != n:
+        raise MergeError("merge dimensions do not agree")
+    if removed is None or not 0 <= removed < len(cert_b.claim.mults):
+        raise MergeError("merge removal index out of range")
+    if cert_b.claim.mults[removed].value != cert_a.claim.degree + ONE:
+        raise MergeError("removed multiplicity must equal first claim's degree + 1")
     runs = list(cert_a.claim.mults)
     for idx, run in enumerate(cert_b.claim.mults):
         if idx != removed:
             runs.append(run)
         elif run.count > 1:
             runs.append(Run(run.value, run.count - 1))
-    return FatPointSystem(cert_b.claim.n, cert_b.claim.degree, tuple(runs))
+    return ReductionStep(
+        rule=RULE_MERGE,
+        input=FatPointSystem(n, cert_b.claim.degree, tuple(runs)),
+        output=None,
+        removed=removed,
+        refs=(cert_a, cert_b),
+        threshold=max(cert_a.m0, cert_b.m0),
+    )
 
 
 def prove_with_script(sys: FatPointSystem, script: Mapping[str, Any]) -> Certificate | None:
@@ -390,19 +417,16 @@ def prove_with_script(sys: FatPointSystem, script: Mapping[str, Any]) -> Certifi
         raise ReductionError(f"unknown script form {how!r}")
     _known_keys(script, _SCRIPT_KEYS[how], f"{how} script")
     if how == "greedy":
-        return prove_empty(sys, "greedy")
+        return prove_empty(sys)
     if how == "pivots":
         pivots = script["pivots"]
         if not isinstance(pivots, list):
             raise ReductionError("script pivots must be a list")
-        return prove_empty(
+        return _prove_by_pivots(
             sys, [_pivot_from_list(p, f"script pivot {i}") for i, p in enumerate(pivots)]
         )
     if how == "evain":
-        cert = evain_certificate(sys.n, _int(script["scale"], "script scale"), sys.mults[0].value)
-        if cert.claim != sys:
-            raise ReductionError("system does not match the axiom pattern")
-        return cert
+        return _certificate(sys, [_evain(sys, _int(script["scale"], "script scale"))])
     part = _scripted_branch(script["part"])
     rest = _scripted_branch(script["rest"])
     if part is None or rest is None:
@@ -423,17 +447,22 @@ def _scripted_branch(spec: Mapping[str, Any]) -> Certificate | None:
 
 
 def verify_certificate(cert: Certificate) -> VerificationResult:
-    """Replay every step: side data must reproduce outputs exactly, side
+    """Rebuild every step with its rule's constructor from the step's input
+    and side fields, and compare the rebuilt step with the stored one: side
     fields the rule does not read must hold their defaults, every
     eventual-sign precondition must hold with the stored threshold, and the
     chain must end in an empty verdict covered by the certificate's m0.  A
-    reason longer than MAX_REASON characters is cut to that length."""
+    reason longer than MAX_REASON characters is cut to that length.  A pass is
+    marked on the object outside its fields and returned at once on a second
+    call; a failure is not remembered."""
 
     def fail(i: int, reason: str) -> VerificationResult:
         if len(reason) > MAX_REASON:
             reason = reason[: MAX_REASON - 3] + "..."
         return VerificationResult(False, i, reason)
 
+    if getattr(cert, "_verified", False):
+        return VerificationResult(True)
     if not cert.steps:
         return fail(0, "certificate has no steps")
     if cert.m0 < 1:
@@ -453,81 +482,42 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
         if (step.output is None) != (i == last):
             return fail(i, "empty verdict must appear exactly at the final step")
         try:
-            replayed, threshold = _replay_step(step)
+            rebuilt = _rebuild(step)
         except (ReductionError, ValueError) as exc:
             return fail(i, str(exc))
-        if step.threshold != threshold:
-            return fail(i, f"stored threshold {step.threshold}, replay needs {threshold}")
-        if replayed is None and step.output is not None:
+        if step.k != rebuilt.k:
+            return fail(i, f"stored k {step.k} differs from replayed {rebuilt.k}")
+        if step.clamps != rebuilt.clamps:
+            return fail(i, "stored clamp records differ from replay")
+        if step.input != rebuilt.input:
+            return fail(i, "merged claim does not match the step input")
+        if step.threshold != rebuilt.threshold:
+            return fail(i, f"stored threshold {step.threshold}, replay needs {rebuilt.threshold}")
+        if rebuilt.output is None and step.output is not None:
             return fail(i, "rule yields an empty verdict but the step stores a system")
-        if step.output != replayed:
+        if step.output != rebuilt.output:
             return fail(i, "stored output does not match replay")
-        current = replayed
-    # the last step stores no output, so a replay that yields a system fails
-    # there: a chain that passes ends in an empty verdict
+        current = rebuilt.output
+    # the last step stores no output, so a rebuilt step that yields a system
+    # fails there: a chain that passes ends in an empty verdict
+    object.__setattr__(cert, "_verified", True)
     return VerificationResult(True)
 
 
-def _replay_step(step: ReductionStep):
-    """Recompute a step from its input and side data.
-
-    Returns (output_or_None, required_threshold), or raises ReductionError
-    (a failing merge sub-certificate included).
-    """
-    sys = step.input
+def _rebuild(step: ReductionStep) -> ReductionStep:
+    """The step its rule's constructor builds from the stored input and side
+    fields; raises ReductionError or ValueError when a hypothesis fails."""
     if step.rule == RULE_REDUCE:
         if step.pivot is None:
             raise ReductionError("reduce step is missing its pivot")
-        replay = reduce_full(sys, step.pivot)
-        if step.k != replay.k:
-            raise ReductionError(f"stored k {step.k} differs from replayed {replay.k}")
-        if step.clamps != replay.clamps:
-            raise ReductionError("stored clamp records differ from replay")
-        return replay.output, replay.threshold
-
+        return reduce_full(step.input, step.pivot)
     if step.rule == RULE_CONTRADICTION:
-        if step.witness is None or not 0 <= step.witness < len(sys.mults):
-            raise ReductionError("contradiction witness index out of range")
-        t = positive_threshold(sys.mults[step.witness].value - sys.degree)
-        if t is None:
-            raise ReductionError("witness multiplicity does not eventually exceed the degree")
-        return None, t
-
+        return _contradiction(step.input, step.witness)
     if step.rule == RULE_EVAIN:
-        if step.scale is None or step.scale < 2:
-            raise ReductionError("axiom scale must be >= 2")
-        if len(sys.mults) != 1:
-            raise ReductionError("axiom claim must have a single multiplicity value")
-        run = sys.mults[0]
-        if run.count != step.scale**sys.n:
-            raise ReductionError(f"axiom claim needs {step.scale}^{sys.n} points, has {run.count}")
-        if sys.degree != run.value.scaled(step.scale) - ONE:
-            raise ReductionError("axiom degree must be scale*multiplicity - 1")
-        t = nonneg_threshold(run.value - ONE)
-        if t is None:
-            raise ReductionError("axiom multiplicity is not eventually >= 1")
-        return None, t
-
-    # RULE_MERGE: verify_certificate lets no other rule through
-    if len(step.refs) != 2:
-        raise ReductionError("merge step needs exactly two sub-certificates")
-    cert_a, cert_b = step.refs
-    for name, ref in (("first", cert_a), ("second", cert_b)):
-        res = verify_certificate(ref)
-        if not res:
-            raise ReductionError(
-                f"{name} sub-certificate fails at step {res.failed_step}: {res.reason}"
-            )
-    if cert_a.claim.n != cert_b.claim.n or cert_a.claim.n != sys.n:
-        raise ReductionError("merge dimensions do not agree")
-    if step.removed is None or not 0 <= step.removed < len(cert_b.claim.mults):
-        raise ReductionError("merge removal index out of range")
-    run = cert_b.claim.mults[step.removed]
-    if run.value != cert_a.claim.degree + ONE:
-        raise ReductionError("removed multiplicity must equal first claim's degree + 1")
-    if _merged_claim(cert_a, cert_b, step.removed) != sys:
-        raise ReductionError("merged claim does not match the step input")
-    return None, max(cert_a.m0, cert_b.m0)
+        return _evain(step.input, step.scale)
+    # RULE_MERGE: verify_certificate lets no other rule through; only a merge
+    # derives its input, from the claims of its references
+    return _merge(step.refs, step.removed, step.input.n)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,13 @@ def test_replay_rejects_trees_deeper_than_the_limit():
             replay_proof_tree(_monotone_chain(depth))
 
 
+def test_replay_visits_a_shared_premise_once():
+    # decompose levels share premises: replayed once per path, this tree
+    # would take time doubling with n
+    fact = waldschmidt_lower_bound(40, 2**40 - 1)
+    assert replay_proof_tree(fact.derivation) == fact.bound
+
+
 def test_replay_names_a_missing_param():
     with pytest.raises(ValueError, match="trivial node has no param 'n'"):
         replay_proof_tree(ProofTree(RULE_TRIVIAL, F(1), ()))

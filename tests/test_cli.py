@@ -329,6 +329,16 @@ def test_bound_and_checks():
     assert json.loads(out)["r_threshold"] == 46
 
 
+@pytest.mark.parametrize("n", [2 * MAX_NESTING + 1, 70])
+def test_bound_beyond_the_block_points_catalog(n):
+    # from P^(2 * MAX_NESTING + 1) on the catalog has no block-points fact
+    code, out, err = invoke(["bound", "--n", str(n), "--points", "5"])
+    assert (code, err) == (0, "")
+    fact = bounds.waldschmidt_lower_bound(n, 5)
+    assert json.loads(out) == bounds.bound_fact_to_dict(fact)
+    assert bounds.replay_proof_tree(fact.derivation) == fact.bound
+
+
 def test_failed_verdict_exit_code():
     # one point: bound 1 equals rhs (reg = 1), strict check fails
     code, out, _ = invoke(["hh-check", "--n", "4", "--points", "1"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fatpoints.core import binomial
 from fatpoints.facts import (
     Profile,
     aux_multiplier,
@@ -18,7 +19,7 @@ from fatpoints.facts import (
     two_weight_certificate,
     two_weight_system,
 )
-from fatpoints.reduction import verify_certificate
+from fatpoints.reduction import MAX_NESTING, MergeError, _nesting, verify_certificate
 from helpers import sysb
 
 
@@ -131,3 +132,18 @@ def test_catalog_contents():
     for n in range(4, 11):
         for fact in catalog(n):
             assert verify_certificate(fact.certificate)
+
+
+def test_catalog_leaves_out_block_points_nested_too_deep():
+    # block points merge (n-1)//2 times over the two-weight certificate's
+    # level, so P^(2 * MAX_NESTING) is the last dimension they fit
+    def block_facts(n):
+        points = Profile.simple(binomial(n + 2, 2) + 1)
+        return [fact for fact in catalog(n) if fact.profile == points]
+
+    last = 2 * MAX_NESTING
+    kept = block_facts(last)
+    assert len(kept) == 1 and _nesting(kept[0].certificate) == MAX_NESTING
+    assert block_facts(last + 1) == []
+    with pytest.raises(MergeError, match="nest more than"):
+        block_points_certificate(last + 1)

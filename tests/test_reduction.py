@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fatpoints import reduction
 from fatpoints.core import AffineValue, FatPointSystem
 from fatpoints.reduction import (
     MAX_NESTING,
@@ -27,7 +28,7 @@ from fatpoints.reduction import (
     system_to_dict,
     verify_certificate,
 )
-from helpers import nested_merges, pivot_matching, sysb
+from helpers import merge_chain_script, nested_merges, pivot_matching, sysb
 from test_acceptance import _mutations
 
 A = AffineValue
@@ -187,7 +188,7 @@ def test_scripted_pivots_replay_a_chain():
     s = sysb(4, (8, -1), ((5, 0), 8))
     greedy = prove_empty(s)
     pivots = [step.pivot for step in greedy.steps if step.pivot]
-    scripted = prove_empty(s, pivots)
+    scripted = prove_with_script(s, {"how": "pivots", "pivots": [list(p) for p in pivots]})
     assert scripted == greedy
 
 
@@ -197,7 +198,8 @@ def test_scripted_pivot_need_not_be_the_largest():
     n = 6
     q1, p1 = n * (2 * n - 1) // 2, (n + 2) * (2 * n - 1) // 2 + 1
     s = sysb(n, (p1, -1), ((q1, 0), n + 4))
-    cert = prove_empty(s, [[0] * (n + 1), [0, 0] + [1] * (n - 1)])
+    cert = prove_with_script(
+        s, {"how": "pivots", "pivots": [[0] * (n + 1), [0, 0] + [1] * (n - 1)]})
     assert cert is not None and verify_certificate(cert)
     shift = A(-n, -(n - 1))
     assert [step.k for step in cert.steps[:2]] == [shift, shift]
@@ -420,6 +422,7 @@ def _first_step(data):
          "witness multiplicity does not eventually exceed the degree"),
         (_plane_merge, lambda d: d["claim"]["mults"].__setitem__(1, [1, 0, 5]),
          "merged claim does not match the step input"),
+        (_plane_merge, lambda d: d["claim"].update(N=3), "merge dimensions do not agree"),
         (lambda: evain_certificate(2, 2, (1, 0)),
          lambda d: d["claim"].update(mults=[[2, 0, 1], [1, 0, 3]]),
          "axiom claim must have a single multiplicity value"),
@@ -429,10 +432,14 @@ def _first_step(data):
          "axiom scale must be >= 2"),
         (lambda: evain_certificate(2, 2, (1, 0)), lambda d: _first_step(d).update(scale=None),
          "axiom scale must be >= 2"),
+        # 99^(10^8) has 6.6e8 bits: the count is refused without computing it
+        (lambda: evain_certificate(2, 2, (1, 0)),
+         lambda d: (d["claim"].update(N=10**8), _first_step(d).update(scale=99)),
+         "axiom claim needs 99^100000000 points, has 4"),
     ],
     ids=["removal-out-of-range", "one-ref", "swapped-refs", "bad-second-ref",
-         "wrong-merged-count", "evain-two-runs", "evain-no-runs", "evain-scale-1",
-         "evain-scale-null"],
+         "wrong-merged-count", "merge-claim-dimension", "evain-two-runs", "evain-no-runs",
+         "evain-scale-1", "evain-scale-null", "evain-huge-dimension"],
 )
 def test_verify_reasons_of_merge_and_axiom_tampers(cert, edit, reason):
     data = certificate_to_dict(cert())
@@ -440,6 +447,63 @@ def test_verify_reasons_of_merge_and_axiom_tampers(cert, edit, reason):
     edit(data)
     res = verify_certificate(certificate_from_dict(data))
     assert (res.ok, res.failed_step, res.reason) == (False, 0, reason)
+
+
+@pytest.mark.parametrize(
+    "prove, error, reason",
+    [
+        (lambda: evain_certificate(3, 1, (1, 0)), ValueError, "axiom scale must be >= 2"),
+        (lambda: evain_certificate(3, 2, (-1, 0)), ValueError,
+         "axiom multiplicity is not eventually >= 1"),
+        (lambda: prove_with_script(sysb(2, (2, -1), ((1, 0), 5)), {"how": "evain", "scale": 2}),
+         ValueError, "axiom claim needs 2^2 points, has 5"),
+        (lambda: merge_empty(
+            evain_certificate(2, 2, (1, 0)),
+            certificate_from_dict(_tamper(prove_empty(sysb(2, (2, -1), ((2, 0), 2))),
+                                          ["claim", "degree"], [2, 0]))),
+         MergeError, "second sub-certificate fails at step 0: "
+         "witness multiplicity does not eventually exceed the degree"),
+        (lambda: merge_empty(evain_certificate(2, 2, (1, 0)),
+                             prove_empty(sysb(3, (2, -1), ((2, 0), 2)))),
+         MergeError, "merge dimensions do not agree"),
+    ],
+    ids=["evain-scale-1", "evain-negative-multiplicity", "script-evain-off-pattern",
+         "merge-broken-second", "merge-across-dimensions"],
+)
+def test_provers_raise_the_verifier_reasons(prove, error, reason):
+    with pytest.raises(error) as info:
+        prove()
+    assert str(info.value) == reason
+
+
+def test_verify_checks_each_certificate_once(monkeypatch):
+    calls = []
+    verify = reduction.verify_certificate
+
+    def counting(cert):
+        calls.append(cert)
+        return verify(cert)
+
+    monkeypatch.setattr(reduction, "verify_certificate", counting)
+    merges = MAX_NESTING - 1
+    script, _ = merge_chain_script(merges)
+    cert = prove_with_script(sysb(2, (2, -1), ((2, 0), 1), ((1, 0), 4 * merges)), script)
+    # each merge verifies its two references, and a reference that is itself
+    # a merge looks its own two up once more: linear, not quadratic
+    assert len(calls) <= 4 * merges
+    assert reduction.verify_certificate(cert)
+    calls.clear()
+    assert reduction.verify_certificate(cert)
+    assert calls == [cert]
+    # a failure is not remembered: the second call replays as deep as the first
+    leaf = certificate_to_dict(evain_certificate(2, 2, (1, 0)))
+    broken = certificate_from_dict(nested_merges(leaf, 3))
+    seen = []
+    for _ in range(2):
+        calls.clear()
+        res = reduction.verify_certificate(broken)
+        seen.append((res.ok, res.failed_step, res.reason, len(calls)))
+    assert seen[0] == seen[1] and seen[0][0] is False and seen[0][3] > 1
 
 
 def _contradiction_before_the_end(data):
