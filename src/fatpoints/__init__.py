@@ -30,8 +30,7 @@ from .reduction import (
 from .facts import Profile, WaldschmidtFact, catalog, fact_from_certificate
 from .bounds import (
     BoundFact,
-    ChudnovskyReport,
-    HHReport,
+    CheckReport,
     ProofTree,
     alpha_generic,
     chudnovsky_check,

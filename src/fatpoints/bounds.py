@@ -43,15 +43,17 @@ value, is a step at the count it starts to apply from):
 
 The last line is an induction on s (floor(s / 2^n) < s), and with it the
 bound, the maximum over present candidates, is nondecreasing with every step
-at 1 or at one of those counts (`_breakpoints`).  Between two consecutive
-breakpoints the set of present candidates and their values are fixed, so the
-bound and the winning rule (the first maximal candidate in a fixed order) are
-too; only the params that record s differ.  The Chudnovsky rhs depends on s
-through alpha alone, which steps only at C(d+n, n); the HH rhs through reg
-alone, which steps only at C(n+l, n) + 1.  So on a segment that has no
-breakpoint of the bound, nor a step of its check's rhs, inside it, the
-check's bound, rhs and verdict are constant: `verdict_segments` cuts a sweep
-there, and the sweep runs one check per segment.
+at 1 or at one of those counts.  `_breakpoints(n, start, stop)` lists those
+in start+1..stop, its block-doubling ones from (start >> n, stop >> n), so a
+narrow range is cheap at any count.  Between two consecutive breakpoints the
+set of present candidates and their values are fixed, so the bound and the
+winning rule (the first maximal candidate in a fixed order) are too; only the
+params that record s differ.  The Chudnovsky rhs depends on s through alpha
+alone, which steps only at C(d+n, n); the HH rhs through reg alone, which
+steps only at C(n+l, n) + 1.  So on a segment that has no breakpoint of the
+bound, nor a step of its check's rhs, inside it, the check's bound, rhs and
+verdict are constant: `verdict_segments` cuts a sweep there, and the sweep
+runs one check per segment.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import binomial
 from .facts import Profile, WaldschmidtFact, catalog, fact_from_certificate
@@ -103,19 +105,11 @@ class BoundFact:
 
 
 @dataclass(frozen=True)
-class ChudnovskyReport:
-    n: int
-    s: int
-    bound: Fraction
-    alpha: int
-    reg: int
-    rhs: Fraction
-    verdict: bool
-    derivation: ProofTree
+class CheckReport:
+    """One numeric criterion at s points in P^n: `check` is "hh" or
+    "chudnovsky", and `r_threshold` is None for chudnovsky."""
 
-
-@dataclass(frozen=True)
-class HHReport:
+    check: str
     n: int
     s: int
     bound: Fraction
@@ -130,19 +124,13 @@ class HHReport:
 def alpha_generic(n: int, s: int) -> int:
     """Least degree d with C(d+n,n) > s: the initial degree of s generic points."""
     _validate(n, s)
-    d = 0
-    while binomial(d + n, n) <= s:
-        d += 1
-    return d
+    return _least(lambda d: binomial(d + n, n) > s)
 
 
 def regularity_generic(n: int, s: int) -> int:
     """l+1 for the unique l with C(n+l-1,n) < s <= C(n+l,n)."""
     _validate(n, s)
-    level = 0
-    while binomial(n + level, n) < s:
-        level += 1
-    return level + 1
+    return _least(lambda level: binomial(n + level, n) >= s) + 1
 
 
 def _validate(n: int, s: int) -> None:
@@ -154,13 +142,20 @@ def _validate(n: int, s: int) -> None:
         raise ValueError(f"point count must be >= 1, got {s}")
 
 
+def _least(holds: Callable[[int], bool]) -> int:
+    """The least x >= 0 with holds(x), for a predicate that stays true once
+    it holds: doubling finds a bound, bisection the edge, exact at any size."""
+    lo, hi = -1, 1  # holds(lo) is false by convention
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
 def _floor_nth_root(s: int, n: int) -> int:
-    k = max(1, int(round(s ** (1.0 / n))))
-    while (k + 1) ** n <= s:
-        k += 1
-    while k**n > s:
-        k -= 1
-    return k
+    return _least(lambda k: (k + 1) ** n > s)
 
 
 def _small_counts(n: int) -> dict[str, tuple[int, Fraction]]:
@@ -290,22 +285,24 @@ def _certified_candidates(n: int) -> list[tuple[int, ProofTree]]:
     return certified
 
 
-def _breakpoints(n: int, stop: int) -> list[int]:
-    """The counts in 1..stop at which a candidate for P^n may step; the
-    bound and the winning rule are constant from one to the next."""
-    if stop < 1:
+def _breakpoints(n: int, start: int, stop: int) -> list[int]:
+    """The counts in start+1..stop at which a candidate for P^n may step;
+    the bound and the winning rule are constant from one to the next."""
+    if stop <= start:
         return []
     steps = {1}
     steps.update(s0 for s0, _ in _small_counts(n).values())
     steps.update(s0 for s0, _ in _certified_candidates(n))
     # decompose level l splits C(n+l, n) + 1 points across a hyperplane
-    steps.update(binomial(n + level, n) + 1 for level in range(2, n - 1))
-    k = 2
-    while k**n <= stop:
-        steps.add(k**n)
-        k += 1
-    steps.update(b << n for b in _breakpoints(n, stop >> n))
-    return sorted(s for s in steps if s <= stop)
+    level = 2
+    while level < n - 1 and binomial(n + level, n) + 1 <= stop:
+        steps.add(binomial(n + level, n) + 1)
+        level += 1
+    roots = range(max(2, _floor_nth_root(start, n) + 1), _floor_nth_root(stop, n) + 1)
+    steps.update(k**n for k in roots)
+    # b * 2^n lies in start+1..stop exactly when b lies in (start >> n)+1..(stop >> n)
+    steps.update(b << n for b in _breakpoints(n, start >> n, stop >> n))
+    return sorted(s for s in steps if start < s <= stop)
 
 
 @lru_cache(maxsize=None)
@@ -345,11 +342,11 @@ def verdict_segments(n: int, start: int, stop: int, check: str) -> list[tuple[in
     if start > stop:
         return []
     _validate(n, start)
-    cuts = set(_breakpoints(n, stop))
+    cuts = set(_breakpoints(n, start, stop))
     # the hh rhs steps with reg at C(n+l, n) + 1, the chudnovsky one with
     # alpha at C(n+d, n)
     shift = {"hh": 1, "chudnovsky": 0}[check]
-    level = 0
+    level = _least(lambda level: binomial(n + level, n) + shift > start)
     while binomial(n + level, n) + shift <= stop:
         cuts.add(binomial(n + level, n) + shift)
         level += 1
@@ -455,7 +452,7 @@ _NOTES = {
 }
 
 
-def hh_check(n: int, s: int) -> HHReport:
+def hh_check(n: int, s: int) -> CheckReport:
     """Strict test bound > (reg + n - 1)/n, exact rational arithmetic."""
     fact = waldschmidt_lower_bound(n, s)
     reg = regularity_generic(n, s)
@@ -463,16 +460,20 @@ def hh_check(n: int, s: int) -> HHReport:
     rhs = Fraction(reg + n - 1, n)
     verdict = fact.bound > rhs
     r_threshold = _threshold(n, fact.bound, reg) if verdict else None
-    return HHReport(n, s, fact.bound, alpha, reg, rhs, verdict, r_threshold, fact.derivation)
+    return CheckReport(
+        "hh", n, s, fact.bound, alpha, reg, rhs, verdict, r_threshold, fact.derivation
+    )
 
 
-def chudnovsky_check(n: int, s: int) -> ChudnovskyReport:
+def chudnovsky_check(n: int, s: int) -> CheckReport:
     """Test bound >= (alpha + n - 1)/n, exact rational arithmetic."""
     fact = waldschmidt_lower_bound(n, s)
     reg = regularity_generic(n, s)
     alpha = alpha_generic(n, s)
     rhs = Fraction(alpha + n - 1, n)
-    return ChudnovskyReport(n, s, fact.bound, alpha, reg, rhs, fact.bound >= rhs, fact.derivation)
+    return CheckReport(
+        "chudnovsky", n, s, fact.bound, alpha, reg, rhs, fact.bound >= rhs, None, fact.derivation
+    )
 
 
 def containment_threshold(n: int, s: int) -> int:
@@ -530,7 +531,7 @@ def bound_fact_to_dict(fact: BoundFact) -> dict:
     }
 
 
-def report_to_dict(report: ChudnovskyReport | HHReport) -> dict:
+def report_to_dict(report: CheckReport) -> dict:
     out = {
         "N": report.n,
         "s": report.s,
@@ -542,6 +543,6 @@ def report_to_dict(report: ChudnovskyReport | HHReport) -> dict:
         "proof_tree": proof_tree_to_dict(report.derivation),
         "notes": dict(_NOTES),
     }
-    if isinstance(report, HHReport):
+    if report.check == "hh":
         out["r_threshold"] = report.r_threshold
     return out

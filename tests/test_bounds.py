@@ -1,6 +1,8 @@
 """The lower-bound rule engine, derivation replay, and the numeric criteria."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -52,6 +54,17 @@ def test_regularity_generic():
     assert regularity_generic(4, 36) == 5
     assert regularity_generic(4, 16) == 4
     assert regularity_generic(5, 127) == 6
+
+
+def test_count_inversions_are_exact_at_any_size():
+    # alpha, reg and the floor n-th root by their defining inequalities, where
+    # C(m, n) = 0 for m < n
+    for n in range(2, 11):
+        for s in [*range(1, 3001), 2**62, 2**1100, 10**400]:
+            d, reg, k = alpha_generic(n, s), regularity_generic(n, s), bounds._floor_nth_root(s, n)
+            assert comb(d - 1 + n, n) <= s < comb(d + n, n), (n, s)
+            assert comb(n + reg - 2, n) < s <= comb(n + reg - 1, n), (n, s)
+            assert k**n <= s < (k + 1) ** n, (n, s)
 
 
 def test_bound_values_frozen():
@@ -383,7 +396,7 @@ def _candidate_rule(tree):
 
 def test_bound_is_constant_between_breakpoints():
     for n, stop in SWEEP_STOPS.items():
-        cuts = bounds._breakpoints(n, stop)
+        cuts = bounds._breakpoints(n, 0, stop)
         assert cuts[0] == 1
         first = None
         for s in range(1, stop + 1):
@@ -392,3 +405,12 @@ def test_bound_is_constant_between_breakpoints():
                 first = fact
             assert fact.bound == first.bound, (n, s)
             assert _candidate_rule(fact.derivation) == _candidate_rule(first.derivation), (n, s)
+
+
+def test_breakpoints_of_a_range_are_the_full_ones_inside_it():
+    rng = random.Random(7)
+    for _ in range(400):
+        n, start = rng.randint(2, 10), rng.randint(0, 7000)
+        stop = start + rng.randint(-3, 3000)
+        inside = [b for b in bounds._breakpoints(n, 0, stop) if b > start]
+        assert bounds._breakpoints(n, start, stop) == inside, (n, start, stop)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,25 @@ def test_bound_beyond_the_block_points_catalog(n):
     assert bounds.replay_proof_tree(fact.derivation) == fact.bound
 
 
+def test_bound_at_a_huge_count_replays():
+    s = 2**1100
+    code, out, err = invoke(["bound", "--n", "10", "--points", str(s)])
+    assert (code, err) == (0, "")
+    fact = bounds.waldschmidt_lower_bound(10, s)
+    assert json.loads(out) == bounds.bound_fact_to_dict(fact)
+    assert bounds.replay_proof_tree(fact.derivation) == fact.bound
+
+
+def test_hh_check_at_a_huge_count():
+    n, s = 2, 2**62
+    code, out, err = invoke(["hh-check", "--n", str(n), "--points", str(s)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    d, reg = data["alpha"], data["reg"]
+    assert comb(d - 1 + n, n) <= s < comb(d + n, n)
+    assert comb(n + reg - 2, n) < s <= comb(n + reg - 1, n)
+
+
 def test_failed_verdict_exit_code():
     # one point: bound 1 equals rhs (reg = 1), strict check fails
     code, out, _ = invoke(["hh-check", "--n", "4", "--points", "1"])
@@ -457,6 +477,13 @@ def test_sweep_checks_once_per_segment(monkeypatch):
     segments = bounds.verdict_segments(8, 12, 6600, "hh")
     assert calls == [first for first, _ in segments]
     assert len(calls) <= 64
+
+
+@pytest.mark.parametrize("n, start, stop", [(2, 2**44 - 3, 2**44 + 3), (20000, 1, 3)])
+def test_sweep_rows_at_huge_counts_and_dimensions(n, start, stop, monkeypatch):
+    for check in ("hh", "chudnovsky"):
+        argv = _sweep_argv(n, start, stop, check)
+        assert invoke(argv) == _reference_invoke(argv, monkeypatch), argv
 
 
 def test_usage_errors_exit_64():
