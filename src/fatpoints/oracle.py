@@ -28,14 +28,21 @@ ascending s, so the latest query is the largest floor a longer history
 could give them.
 
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
-blocked kernel: int64 panel factorization, float64 BLAS trailing updates.  A
-64-wide panel's products stay exact in float64 with the multipliers as one
-limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.  Reduction mod p is
-delayed: trailing entries are integers below 2^53 in magnitude, reduced only
-where a residue is needed (panel columns, pivot rows) and, as a whole block,
-once the updates since the last reduction reach a budget computed from p
-(63 at 2^31 - 1, 2 at FAST_PRIME).  `_reduce_mod` reduces with a multiply by
-1/p and a floor, not `np.remainder`, and proves its quotient correction.
+blocked kernel.  Each 64-column panel is factored recursively, in the manner
+of the PLUQ of Dumas, Pernet and Sultan (ISSAC 2013): halves down to
+16-column strips (16 to 31 in a narrower last panel), where an int64 loop
+eliminates column by column within the strip's own columns, and a left
+half's pivots reach the right half through the float64 BLAS update that also
+takes a whole panel's pivots to the trailing columns.  Its products have at
+most 64 terms (32 inside a panel), exact in float64 with the multipliers as
+one limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.  The arithmetic
+is exact mod p, so every pivot, row swap and multiplier is that of a
+column-by-column sweep.  Reduction mod p is delayed: trailing entries are
+integers below 2^53 in magnitude, reduced only where a residue is needed
+(panel columns, pivot rows) and, as a whole block, once the updates since
+the last reduction reach a budget computed from p (63 at 2^31 - 1, 2 at
+FAST_PRIME).  `_reduce_mod` reduces with a multiply by 1/p and a floor, not
+`np.remainder`, and proves its quotient correction.
 """
 from __future__ import annotations
 
@@ -54,6 +61,9 @@ DEFAULT_PRIME = (1 << 31) - 1
 FAST_PRIME = 8380417
 _PRIME_LIMIT = 1 << 31
 _PANEL = 64
+# a panel is halved while both halves are at least this wide, so a full
+# panel's strips, factored column by column, are this wide
+_STRIP = 16
 # chunks that bound temporaries: trailing-update columns, row-build entries
 _UPDATE_COLS = 256
 _ROW_CHUNK = 1 << 18
@@ -176,14 +186,18 @@ def _update_budget(p: int) -> tuple[bool, int, int]:
 
 
 def _limbs(f: np.ndarray, two_limbs: bool) -> list[np.ndarray]:
-    """Float64 residues in [0, p) as limbs: f itself, or (f >> 16, f & 0xFFFF),
-    split in place (each step is exact)."""
+    """Float64 residues in [0, p) as limbs: f itself, or (hi, lo) with
+    hi = floor(f * 2^-16) and lo = f - hi * 2^16, lo in place of f.  Each
+    step is exact for integers below 2^53: scaling by a power of two, the
+    floor, and a difference of two integers in [0, f]."""
     if not two_limbs:
         return [f]
-    lo = np.fmod(f, 1 << 16)
-    f -= lo
-    f *= 2.0**-16
-    return [f, lo]
+    hi = np.multiply(f, 2.0**-16)
+    np.floor(hi, out=hi)
+    hi *= 1 << 16
+    f -= hi
+    hi *= 2.0**-16
+    return [hi, f]
 
 
 def _matmul_mod(out: np.ndarray, limbs: list[np.ndarray], u: np.ndarray, p: int,
@@ -207,95 +221,181 @@ def _matmul_mod(out: np.ndarray, limbs: list[np.ndarray], u: np.ndarray, p: int,
         out -= prod
 
 
+def _extend_inverse(neg: np.ndarray, t: np.ndarray, invs: list[int], p: int, two_limbs: bool,
+                    scratch: np.ndarray) -> None:
+    """Extend N = -T^-1 mod p from its leading k0 x k0 block to k1 rows and
+    columns, in place in the int64 array `neg`, zero outside that block.  T is
+    lower triangular: its diagonal holds the pivots (1 / invs) and its
+    strictly lower part the stored multipliers.  `t` = T[k0:k1, :k1] as
+    float64 residues, for k1 = k0 + len(invs); what it holds on and above the
+    diagonal is ignored, and its first k0 columns are split in place.
+
+    With T = [[A, 0], [B, C]], -T^-1 = [[-A^-1, 0], [C^-1 B A^-1, -C^-1]], so
+    the new rows are C^-1 [-B N_A | -I] for N_A = -A^-1.  B N_A is one
+    `_matmul_mod` (k0 < 64 terms); C = L D with L unit lower triangular, L^-1
+    by forward elimination in int64 (products of two residues are below
+    2^62), then D^-1 = diag(invs)."""
+    k1 = t.shape[1]
+    k0 = k1 - len(invs)
+    y = neg[k0:k1, :k1]
+    if k0:
+        w = np.zeros((k1 - k0, k0))
+        _matmul_mod(w, _limbs(t[:, :k0], two_limbs), neg[:k0, :k0].astype(np.float64), p,
+                    scratch)
+        y[:, :k0] = _reduce_mod(w, p, scratch)
+    y[:, k0:] = np.eye(len(invs), dtype=np.int64) * (p - 1)
+    d_inv = np.array(invs, dtype=np.int64)
+    ell = t[:, k0:].astype(np.int64) * d_inv % p
+    for s in range(len(invs) - 1):
+        rest = y[s + 1 :]
+        rest -= np.multiply.outer(ell[s + 1 :, s], y[s])
+        rest %= p
+    y *= d_inv[:, None]
+    y %= p
+
+
+def _factor_strip(m: np.ndarray, r: int, lo: int, hi: int, p: int) -> tuple[list[int], list[int]]:
+    """Column by column in int64, eliminate columns lo:hi of the residues in
+    rows r: of m below each pivot, within those columns only; return the
+    pivot columns and the pivots' inverses.  A pivot is the first nonzero
+    entry at or below the next pivot row, and a row swap puts it there (in
+    every column of m once the strip is done).  The rows below subtract
+    their entry times the pivot row scaled to a leading 1, and that entry
+    stays as their multiplier (classic LU layout); the pivot row keeps its
+    own entries, which nothing reads again."""
+    block = m[r:, lo:hi].astype(np.int64, order="F")  # columns contiguous
+    cols: list[int] = []
+    invs: list[int] = []
+    moved: dict[int, int] = {}  # block row -> the row of m (from r) it came from
+    nw = 0
+    for j in range(hi - lo):
+        if not block[nw, j]:
+            nz = np.nonzero(block[nw:, j])[0]
+            if nz.size == 0:
+                continue
+            piv = nw + int(nz[0])
+            block[[nw, piv]] = block[[piv, nw]]
+            moved[nw], moved[piv] = moved.get(piv, piv), moved.get(nw, nw)
+        inv = pow(int(block[nw, j]), -1, p)
+        rest = block[nw + 1 :, j + 1 :]
+        rest -= np.multiply.outer(block[nw + 1 :, j], block[nw, j + 1 :] * inv % p)
+        rest %= p
+        cols.append(lo + j)
+        invs.append(inv)
+        nw += 1
+        if nw == block.shape[0]:
+            break
+    if moved:  # the swaps, on every column of m at once
+        m[[r + i for i in moved]] = m[[r + i for i in moved.values()]]
+    m[r:, lo:hi] = block
+    return cols, invs
+
+
+class _Panel:
+    """The pivots of one panel, in rows r0, r0 + 1, ... of m: their columns,
+    their inverses and, for the first `built` of them, N = -T^-1 in `neg`
+    (`_extend_inverse`), built only when an update needs it."""
+
+    def __init__(self, m: np.ndarray, r0: int, width: int, p: int, two_limbs: bool,
+                 scratch: np.ndarray) -> None:
+        self.m, self.r0, self.p, self.two_limbs, self.scratch = m, r0, p, two_limbs, scratch
+        self.cols: list[int] = []
+        self.invs: list[int] = []
+        self.neg = np.zeros((width, width), dtype=np.int64)
+        self.built = 0
+
+    def factor(self, lo: int, hi: int) -> None:
+        """Factor columns lo:hi of the residues in m below the pivots found
+        so far, with the pivots, swaps and multipliers of one `_factor_strip`
+        sweep over those columns.  Recursive: halve while both halves have at
+        least _STRIP columns, factor the left half, apply its pivots to the
+        right half's columns and factor the right half below them."""
+        k0 = len(self.cols)
+        if hi - lo < 2 * _STRIP:
+            cols, invs = _factor_strip(self.m, self.r0 + k0, lo, hi, self.p)
+            self.cols += cols
+            self.invs += invs
+            return
+        mid = (lo + hi) // 2
+        self.factor(lo, mid)
+        k1 = len(self.cols)
+        if self.r0 + k1 == self.m.shape[0]:
+            return
+        if k1 > k0:
+            self.update(k0, k1, mid, hi, reduce_top=False, reduce_rest=True)
+        self.factor(mid, hi)
+
+    def update(self, k0: int, k1: int, lo: int, hi: int, reduce_top: bool,
+               reduce_rest: bool) -> None:
+        """Apply pivots k0:k1 to columns lo:hi of m: their rows R there become
+        the eliminated form U = T^-1 R, where T is their diagonal block of the
+        panel's T and -T^-1 that block of N, and each row below loses its
+        stored multipliers times U.  Two limb matmuls per column chunk of
+        _UPDATE_COLS, each with at most 64 terms.  R must be residues unless
+        `reduce_top`; each row below takes one delayed update, reduced at once
+        when `reduce_rest`."""
+        m, p, two_limbs, scratch = self.m, self.p, self.two_limbs, self.scratch
+        r, cols = self.r0 + k0, self.cols[k0:k1]
+        if self.built < k1:
+            t = m[self.r0 + self.built : self.r0 + k1, self.cols[:k1]]
+            _extend_inverse(self.neg, t, self.invs[self.built : k1], p, two_limbs, scratch)
+            self.built = k1
+        solve = _limbs(self.neg[k0:k1, k0:k1].astype(np.float64), two_limbs)
+        lower = _limbs(m[self.r0 + k1 :, cols], two_limbs)
+        for c0 in range(lo, hi, _UPDATE_COLS):
+            c1 = min(c0 + _UPDATE_COLS, hi)
+            top = m[r : self.r0 + k1, c0:c1]
+            if reduce_top:
+                _reduce_mod(top, p, scratch)
+            u = scratch[: top.size].reshape(top.shape)
+            u.fill(0)
+            _matmul_mod(u, solve, top, p, scratch[top.size :])  # solve holds -T^-1
+            top[:] = _reduce_mod(u, p, scratch[top.size :])
+            rest = m[self.r0 + k1 :, c0:c1]
+            _matmul_mod(rest, lower, top, p, scratch)
+            if reduce_rest:
+                _reduce_mod(rest, p, scratch)
+
+
 def _rank_float_panels(a: np.ndarray, p: int) -> int:
-    """Blocked elimination: int64 panel factorization, float64 BLAS trailing
+    """Blocked elimination: recursive panel factorization, float64 BLAS
     updates with delayed reduction.
 
     Invariant: every entry of m is an integer below 2^53 in magnitude; an
     entry of the trailing block, after k updates since its last reduction,
     lies in (-k * bound, p).  Reduction happens only where a residue is
-    needed: the next panel's columns before the int64 cast, the pivot rows
+    needed: the next panel's columns before it is factored, the pivot rows
     before they are an operand, and the whole trailing block once k reaches
     the budget of `_update_budget`, so p + k * bound < 2^53 always holds.
     `pending` counts the updates since the whole block was last reduced (or
     since the start); at 0 nothing needs reducing.
 
-    Multipliers live in the zeroed panel entries (classic LU layout).  Per
-    panel, the nw pivot rows R and their eliminated form U satisfy R = T U,
-    T = L D lower triangular with the pivots D on its diagonal and the
-    stored multipliers below it.  So U = X R for X = T^-1 mod p, built once
-    in int64 (products of two residues are below 2^62) and applied as one
-    limb matmul per column chunk, followed by one limb matmul of the chunk's
-    trailing rows against U.
+    `_Panel.factor` factors each panel of _PANEL columns in residues, and
+    `_Panel.update` applies its pivots to the trailing columns: the update
+    that `factor` applies to a right half inside the panel, reduced there at
+    once.  Its products have at most 64 terms on the trailing columns and at
+    most 32 inside a panel, so the exactness bounds of `_update_budget` and
+    `_matmul_mod` cover both.  The arithmetic is exact mod p, so every pivot,
+    swap and multiplier is that of a column-by-column sweep.
     """
     two_limbs, _, budget = _update_budget(p)
     m = np.empty(a.shape, dtype=np.float64)
     np.remainder(a, p, out=m)
     rows, cols = m.shape
-    scratch = None
+    # an update's product and reduction, behind room for the pivot rows' U
+    chunk = min(cols, _UPDATE_COLS)
+    scratch = np.empty(((1 + two_limbs) * rows + _PANEL) * chunk)
     rank = col = pending = 0
     while rank < rows and col < cols:
         hi = min(col + _PANEL, cols)
-        width = hi - col
-        r0 = rank
-        nloc = rows - r0
-        panel = m[r0:, col:hi]
-        block = (_reduce_mod(panel, p, scratch) if pending else panel).astype(np.int64)
-        piv_cols: list[int] = []
-        invs: list[int] = []
-        nw = 0
-        for j in range(width):
-            nz = np.nonzero(block[nw:, j])[0]
-            if nz.size == 0:
-                continue
-            piv = nw + int(nz[0])
-            if piv != nw:
-                block[[nw, piv]] = block[[piv, nw]]
-                m[[r0 + nw, r0 + piv]] = m[[r0 + piv, r0 + nw]]
-            inv = pow(int(block[nw, j]), -1, p)
-            block[nw, j:] = block[nw, j:] * inv % p
-            below = block[nw + 1 :, j]
-            nzb = np.nonzero(below)[0]
-            if nzb.size:
-                idx = nw + 1 + nzb
-                f = below[nzb].copy()
-                block[idx, j + 1 :] = (block[idx, j + 1 :] - f[:, None] * block[nw, j + 1 :]) % p
-                block[idx, j] = f  # multiplier storage
-            piv_cols.append(j)
-            invs.append(inv)
-            nw += 1
-            if nw == nloc:
-                break
-        rank = r0 + nw
-        if nw and rank < rows and hi < cols:
-            # X = T^-1 = D^-1 L^-1 for the unit lower triangular L = T D^-1:
-            # L^-1 by forward elimination on the identity, then rows times D^-1
-            d_inv = np.array(invs, dtype=np.int64)
-            ell = block[:nw, piv_cols]
-            ell *= d_inv
-            ell %= p
-            x = np.eye(nw, dtype=np.int64)
-            for t in range(nw - 1):
-                rest = x[t + 1 :, : t + 1]
-                rest[:] = (rest - ell[t + 1 :, t, None] * x[t, : t + 1]) % p
-            x *= -d_inv[:, None]
-            x %= p
-            solve = _limbs(x.astype(np.float64), two_limbs)
-            lower = _limbs(block[nw:, piv_cols].astype(np.float64), two_limbs)
-            if scratch is None:  # sized for the first update, the largest
-                size = max(rows - rank, nw) * min(cols - hi, _UPDATE_COLS)
-                scratch = np.empty((1 + two_limbs) * size)
-            for c0 in range(hi, cols, _UPDATE_COLS):
-                pivots = m[r0:rank, c0 : c0 + _UPDATE_COLS]
-                if pending:
-                    _reduce_mod(pivots, p, scratch)
-                u = np.zeros(pivots.shape)
-                _matmul_mod(u, solve, pivots, p, scratch)  # solve holds -X: u = X R
-                pivots[:] = _reduce_mod(u, p, scratch)
-                seg = m[rank:, c0 : c0 + _UPDATE_COLS]
-                _matmul_mod(seg, lower, pivots, p, scratch)
-                if pending + 1 == budget:
-                    _reduce_mod(seg, p, scratch)
+        if pending:
+            _reduce_mod(m[rank:, col:hi], p, scratch)
+        panel = _Panel(m, rank, hi - col, p, two_limbs, scratch)
+        panel.factor(col, hi)
+        k = len(panel.cols)
+        rank += k
+        if k and rank < rows and hi < cols:
+            panel.update(0, k, hi, cols, reduce_top=pending > 0, reduce_rest=pending + 1 == budget)
             pending = (pending + 1) % budget
         col = hi
     return rank
@@ -381,6 +481,23 @@ def linear_system_dim(
     """Monte Carlo dimension of the degree-d forms with the given
     multiplicities at random points; min over trials."""
     config = config or OracleConfig()
+    dims = _trial_dims(n, d, mults, config, range(config.trials))
+    return OracleReport(
+        n=n,
+        degree=d,
+        mults=tuple(int(m) for m in mults),
+        dims=tuple(dims),
+        dimension=min(dims),
+        prime=config.prime,
+        trials=config.trials,
+        seed=config.seed,
+    )
+
+
+def _trial_dims(
+    n: int, d: int, mults: Sequence[int], config: OracleConfig, trials: range
+) -> list[int]:
+    """The dimension of each of the given trials of `linear_system_dim`."""
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
     if d < 0:
@@ -401,7 +518,7 @@ def linear_system_dim(
         keep &= exps[:, i] <= d - m if i < n else exps.sum(axis=1) >= m
     exps = exps[keep]
     dims: list[int] = []
-    for trial in range(config.trials):
+    for trial in trials:
         rng = np.random.default_rng([config.seed % (1 << 64), trial])
         rank = 0
         if rest and exps.size:
@@ -409,16 +526,7 @@ def linear_system_dim(
             matrix = _conditions_matrix(exps, points, rest, d, config.prime)
             rank = matrix_rank_mod(matrix, config.prime)
         dims.append(exps.shape[0] - rank)
-    return OracleReport(
-        n=n,
-        degree=d,
-        mults=tuple(int(m) for m in mults),
-        dims=tuple(dims),
-        dimension=min(dims),
-        prime=config.prime,
-        trials=config.trials,
-        seed=config.seed,
-    )
+    return dims
 
 
 # the latest alpha found, (n, m, config) -> (s, alpha), kept as a scan floor
@@ -444,9 +552,10 @@ def alpha_symbolic_power(
     without any rank computation (dimension >= columns - rows); only
     candidate degrees below that point need the matrix.  Each candidate is
     probed with a single trial first: a zero dimension there already equals
-    the min over all trials, so only positive probes need confirmation with
-    the full trial count.  The result is identical to scanning from m with
-    the full count throughout.
+    the min over all trials, so only positive probes need confirmation.  The
+    probe is trial 0 of the full count (the same (seed, 0) stream), so the
+    confirmation runs trials 1..T-1 only.  The result is identical to
+    scanning from m with the full count throughout.
 
     Why the floor is exact: within one (seed, trial) the s-point
     configuration is a prefix of the (s+1)-point one.  The frame fills first,
@@ -470,8 +579,8 @@ def alpha_symbolic_power(
     last_s, last_alpha = _alpha_floors.pop((n, m, config), (0, m))
     d = last_alpha if last_s < s else m
     while binomial(d + n, n) - conditions <= 0:
-        if linear_system_dim(n, d, [m] * s, probe).dimension > 0 and (
-            probe is config or linear_system_dim(n, d, [m] * s, config).dimension > 0
+        if linear_system_dim(n, d, [m] * s, probe).dimension > 0 and all(
+            dim > 0 for dim in _trial_dims(n, d, [m] * s, config, range(1, config.trials))
         ):
             break
         d += 1

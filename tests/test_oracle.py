@@ -16,6 +16,7 @@ from fatpoints.oracle import (
     OracleError,
     _conditions_matrix,
     _is_probable_prime,
+    _limbs,
     _monomial_exponents,
     _reduce_mod,
     _update_budget,
@@ -219,6 +220,20 @@ def test_reduce_mod_matches_python_mod():
         assert not block[:, [0, 2]].any()
 
 
+def test_limbs_split_residues_exactly():
+    rng = np.random.default_rng(31)
+    for p in RANK_PRIMES:
+        values = [0, 1, (1 << 16) - 1, 1 << 16, p - 1]
+        values += rng.integers(0, p, size=2000).tolist()
+        f = np.array(values, dtype=np.float64)
+        hi, lo = _limbs(f.copy(), True)
+        assert (hi.astype(np.int64) * (1 << 16) + lo.astype(np.int64)).tolist() == values
+        assert (hi == np.floor(hi)).all() and (lo == np.floor(lo)).all()
+        assert (0 <= lo).all() and (lo < 1 << 16).all()
+        assert (0 <= hi).all() and (hi < 1 << 15).all()
+        assert _limbs(f, False)[0] is f
+
+
 def test_update_budget_is_the_largest_that_fits():
     for p in RANK_PRIMES + (3, 65521, LAST_ONE_LIMB_PRIME):
         two_limbs, bound, budget = _update_budget(p)
@@ -245,16 +260,24 @@ def exact_product_mod(left, right, p):
     return (high + mid + prod(ll, rl)) % p
 
 
-def rank_by_construction(rng, rows, cols, rank, p):
+def rank_by_construction(rng, rows, cols, rank, p, pivots=None):
     """P (L U) Q mod p with L rows x rank, U rank x cols: L has a unit lower
     triangular top block, U a unit upper triangular left block, both random
-    elsewhere, so both have full rank and their product has rank `rank`."""
+    elsewhere, so both have full rank and their product has rank `rank`.
+
+    Given `pivots`, `rank` ascending columns, U is in row echelon form with
+    its leading 1s in those columns and Q is the identity: elimination in
+    column order, with row swaps, finds its pivots in exactly those columns."""
     left = rng.integers(0, p, size=(rows, rank))
     left[:rank] = np.tril(left[:rank], -1) + np.eye(rank, dtype=np.int64)
     right = rng.integers(0, p, size=(rank, cols))
-    right[:, :rank] = np.triu(right[:, :rank], 1) + np.eye(rank, dtype=np.int64)
-    a = exact_product_mod(left, right, p)
-    return a[rng.permutation(rows)][:, rng.permutation(cols)]
+    if pivots is None:
+        right[:, :rank] = np.triu(right[:, :rank], 1) + np.eye(rank, dtype=np.int64)
+    else:
+        right[np.arange(cols) < np.array(pivots)[:, None]] = 0
+        right[np.arange(rank), pivots] = 1
+    a = exact_product_mod(left, right, p)[rng.permutation(rows)]
+    return a if pivots is not None else a[:, rng.permutation(cols)]
 
 
 def test_multi_panel_ranks_known_by_construction():
@@ -287,6 +310,83 @@ def test_rank_past_the_update_budget():
     left[:panels] = np.tril(left[:panels], -1) + np.eye(panels, dtype=np.int64)
     a = exact_product_mod(left, right, p)[rng.permutation(panels + 4)]
     assert matrix_rank_mod(a, p) == panels
+
+
+def assert_column_rank_profile(a, p, pivots):
+    """The rank of every leading column block is the number of pivots in it,
+    at each strip and half boundary of every panel."""
+    for c in range(1, a.shape[1] + 1):
+        if c % 16 in (0, 1, 15) or c == a.shape[1]:
+            assert matrix_rank_mod(a[:, :c], p) == sum(x < c for x in pivots), (p, c)
+
+
+def test_pivotless_columns_at_strip_and_half_boundaries():
+    # columns 15/16, 31/32 and 47/48 of both panels take no pivot: each is a
+    # combination of the columns before it, so it is not zero
+    rng = np.random.default_rng(53)
+    skip = {15, 16, 31, 32, 47, 48}
+    pivots = [c for c in range(128) if c % 64 not in skip]
+    for p in RANK_PRIMES:
+        a = rank_by_construction(rng, 120, 128, len(pivots), p, pivots)
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == len(pivots)
+        assert_column_rank_profile(a, p, pivots)
+
+
+def test_left_halves_without_a_pivot():
+    # the first panel's left half is zero, and the second panel's left half
+    # (columns 64..95) lies in the span of the columns before it
+    rng = np.random.default_rng(59)
+    for p in RANK_PRIMES:
+        pivots = list(range(32, 64)) + list(range(96, 140))
+        a = rank_by_construction(rng, 90, 140, len(pivots), p, pivots)
+        assert not a[:, :32].any() and a[:, 64:96].any()
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == len(pivots)
+        assert_column_rank_profile(a, p, pivots)
+
+
+def test_rows_run_out_inside_a_left_half():
+    # full row rank: the second panel has 20 rows left in the first matrix
+    # and 10 in the second, and the third matrix has fewer rows than a strip
+    rng = np.random.default_rng(61)
+    for p in RANK_PRIMES:
+        for rows, cols in ((84, 150), (74, 200), (12, 70)):
+            a = rank_by_construction(rng, rows, cols, rows, p)
+            assert matrix_rank_mod(a, p) == reference_rank(a, p) == rows, (p, rows)
+
+
+def test_row_swaps_inside_a_right_half():
+    # row t is replaced by a combination of the rows above it, so it is zero
+    # once their pivots are applied and a later row is swapped in for pivot
+    # t: in the right strip of the left half (t = 20), in the right half's
+    # left strip (t = 40) and in its right strip (t = 52, 53)
+    rng = np.random.default_rng(67)
+    for p in RANK_PRIMES:
+        a = rank_by_construction(rng, 100, 90, 80, p, list(range(80)))
+        for t in (20, 40, 52, 53):
+            coef = rng.integers(0, p, size=(1, t))
+            a[t] = exact_product_mod(coef, a[:t], p)[0]
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 80
+        assert_column_rank_profile(a, p, list(range(80)))
+
+
+def test_rank_at_the_exactness_bound_of_a_half():
+    # 32 identity pivot rows over entries p - 1, then rows whose 32
+    # multipliers all have low limb 2^16 - 1: the left half's update of the
+    # right half takes the largest low-limb products of its 32 terms
+    rng = np.random.default_rng(71)
+    for p in RANK_PRIMES:
+        extra_rows, extra_cols = 16, 64
+        top = np.hstack(
+            [np.eye(32, dtype=np.int64), np.full((32, extra_cols), p - 1, dtype=np.int64)]
+        )
+        mults = (rng.integers(0, p >> 16, size=(extra_rows, 32)) << 16) | 0xFFFF
+        mults[0, :] = ((p >> 16) << 16) - 1
+        assert (mults < p).all()
+        tail = (mults.astype(object) @ top[:, 32:].astype(object) % p).astype(np.int64)
+        a = np.vstack([top, np.hstack([mults, tail])])
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 32
+        a[32:, 32:] = rng.integers(0, p, size=(extra_rows, extra_cols))
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 32 + extra_rows
 
 
 def test_quadric_through_nine_points_is_special():
@@ -472,6 +572,39 @@ def test_alpha_floors_match_a_floorfree_scan(monkeypatch):
             calls.clear()
             alpha_symbolic_power(q[1], q[2], q[3], q[0])
             assert len(calls) == floorfree_calls[q]
+
+
+def test_alpha_confirmation_reuses_the_probe(monkeypatch):
+    # a positive probe is trial 0 of the full count, so its confirmation
+    # makes T - 1 rank calls, and the alpha is that of a full-count scan
+    positive_probes, ranks = [], {"probe": 0, "confirmation": 0}
+    caller = ["confirmation"]
+
+    def probe(*args):
+        caller[0] = "probe"
+        report = linear_system_dim(*args)
+        caller[0] = "confirmation"
+        positive_probes.append(report.dimension > 0)
+        return report
+
+    def rank(a, p):
+        ranks[caller[0]] += 1
+        return matrix_rank_mod(a, p)
+
+    monkeypatch.setattr(oracle, "linear_system_dim", probe)
+    monkeypatch.setattr(oracle, "matrix_rank_mod", rank)
+    for config in (OracleConfig(prime=FAST_PRIME, trials=3, seed=3),
+                   OracleConfig(trials=4, seed=8)):
+        for n, s, m in ((2, 5, 2), (2, 5, 3), (3, 9, 2)):
+            clear_alpha_floors()
+            positive_probes.clear()
+            ranks.update(probe=0, confirmation=0)
+            alpha = alpha_symbolic_power(n, s, m, config)
+            assert ranks["probe"] > 0 and sum(positive_probes) >= 1
+            assert ranks["confirmation"] == (config.trials - 1) * sum(positive_probes)
+            full = next(d for d in range(m, alpha + 1)
+                        if linear_system_dim(n, d, [m] * s, config).dimension > 0)
+            assert full == alpha, (config, n, s, m)
 
 
 def test_alpha_floor_record_stays_bounded(monkeypatch):
