@@ -267,7 +267,7 @@ def _decompose(n: int, s: int, premises: tuple[ProofTree, ...]) -> ProofTree:
     parts = [min(premise.value, Fraction(2)) for premise in premises]
     a = tuple((part.numerator, part.denominator) for part in parts)
     params = (("n", n), ("s", s), ("k", 1), ("r", rs), ("a", a), ("scope", DECOMPOSE_SCOPE))
-    value = decomposition_bound(n, list(zip(rs, parts)), 1)
+    value = decomposition_bound(n, list(zip(rs, parts)))
     return ProofTree(RULE_DECOMPOSE, value, params, premises)
 
 
@@ -354,33 +354,26 @@ def verdict_segments(n: int, start: int, stop: int, check: str) -> list[tuple[in
     return list(zip(firsts, [s - 1 for s in firsts[1:]] + [stop]))
 
 
-def decomposition_bound(
-    n: int, facts: Sequence[tuple[int, Fraction]], k: int
-) -> Fraction:
-    """(1 - sum_{j<=k} 1/a_j) * a_{k+1} + k for point count sum r_j.
+def decomposition_bound(n: int, facts: Sequence[tuple[int, Fraction]]) -> Fraction:
+    """(1 - 1/a_1) * a_2 + 1 for point count r_1 + r_2.
 
     `facts` supplies (r_j, a_j) with a_j a valid lower bound for r_j
     very-general points in P^{n-1}.  Hypotheses are hard constraints:
-    k <= a_j <= k+1 for j <= k, a_1 > k, a_{k+1} <= k+1.
+    1 < a_1 <= 2 and a_2 <= 2.
     """
     if n < 3:
         raise ValueError("decomposition needs ambient dimension >= 3")
-    if k < 1:
-        raise ValueError("decomposition needs k >= 1")
-    if len(facts) != k + 1:
-        raise ValueError(f"decomposition with k={k} needs exactly {k + 1} facts")
-    parts = [Fraction(a) for _, a in facts]
-    for r, _ in facts:
-        if r < 1:
-            raise ValueError("point counts must be positive")
-    for j, a in enumerate(parts[:k]):
-        if not (k <= a <= k + 1):
-            raise ValueError(f"hypothesis k <= a_{j + 1} <= k+1 fails: a = {a}")
-    if parts[0] <= k:
-        raise ValueError(f"hypothesis a_1 > k fails: a_1 = {parts[0]}")
-    if parts[k] > k + 1:
-        raise ValueError(f"hypothesis a_{k + 1} <= k+1 fails: a = {parts[k]}")
-    return (1 - sum(1 / a for a in parts[:k])) * parts[k] + k
+    if len(facts) != 2:
+        raise ValueError("decomposition needs exactly 2 facts")
+    (r1, a1), (r2, a2) = facts
+    if r1 < 1 or r2 < 1:
+        raise ValueError("point counts must be positive")
+    a1, a2 = Fraction(a1), Fraction(a2)
+    if not 1 < a1 <= 2:
+        raise ValueError(f"hypothesis 1 < a_1 <= 2 fails: a_1 = {a1}")
+    if a2 > 2:
+        raise ValueError(f"hypothesis a_2 <= 2 fails: a_2 = {a2}")
+    return (1 - 1 / a1) * a2 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,22 @@ therefore delete columns and add no rows; only the other points are sampled
 partial-derivative functionals of order < m_i at point i acting on the
 surviving monomial coefficients.
 
-Alpha floors: `alpha_symbolic_power` keeps one record per (n, m, config),
-the (s, alpha) of its latest query there, and starts the scan for a larger s
-at that alpha; see its docstring for why this leaves the result unchanged.
-Sweeps over s (criterion 7 runs s = 1, 2, ... for each (n, m)) ask for
-ascending s, so the latest query is the largest floor a longer history
-could give them.
+Alpha floors and ceilings: `alpha_symbolic_power` keeps one record per
+(n, m, config), the (s, alpha) of its latest query there.  A scan for a
+larger s starts at that alpha (a floor), and a scan at power m stops below
+min over a of alpha(a) + alpha(m - a), read from the records at the powers
+a < m for at least s points (a ceiling, by subadditivity), answering the
+ceiling unprobed.  See its docstring for why neither changes the result.
+Criterion 7 asks m = 1, 2, ... at each s and s = 1, 2, ... for each n, so
+the latest query is the largest floor a longer history could give it, and
+the powers below m are on record at s when m is asked.
 
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
 blocked kernel.  Each 64-column panel is factored recursively, in the manner
 of the PLUQ of Dumas, Pernet and Sultan (ISSAC 2013): halves down to
 16-column strips (16 to 31 in a narrower last panel), where an int64 loop
-eliminates column by column within the strip's own columns, and a left
+eliminates column by column within the strip's own columns (reducing the
+rows below only when a budget of steps computed from p runs out), and a left
 half's pivots reach the right half through the float64 BLAS update that also
 takes a whole panel's pivots to the trailing columns.  Its products have at
 most 64 terms (32 inside a panel), exact in float64 with the multipliers as
@@ -46,7 +50,9 @@ FAST_PRIME).  `_reduce_mod` reduces with a multiply by 1/p and a floor, not
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -110,6 +116,7 @@ class OracleReport:
         }
 
 
+@lru_cache
 def _is_probable_prime(n: int) -> bool:
     # deterministic Miller-Rabin for n < 3.3e24
     if n < 2:
@@ -183,6 +190,15 @@ def _update_budget(p: int) -> tuple[bool, int, int]:
     if two_limbs:
         bound = p * ((1 << 16) + 1)
     return two_limbs, bound, ((1 << 53) - 1 - p) // bound
+
+
+def _strip_budget(p: int) -> int:
+    """The largest k with k (p - 1)^2 < 2^63: the steps `_factor_strip` may
+    take between reductions, since each subtracts an integer in
+    [0, (p - 1)^2] from entries in [0, p), and int64 holds down to -2^63.
+    It is 2 at 2^31 - 1 and 131328 (just over 2^17) at FAST_PRIME, where a
+    strip of at most 31 columns never reduces its whole rest."""
+    return ((1 << 63) - 1) // ((p - 1) * (p - 1))
 
 
 def _limbs(f: np.ndarray, two_limbs: bool) -> list[np.ndarray]:
@@ -262,13 +278,26 @@ def _factor_strip(m: np.ndarray, r: int, lo: int, hi: int, p: int) -> tuple[list
     every column of m once the strip is done).  The rows below subtract
     their entry times the pivot row scaled to a leading 1, and that entry
     stays as their multiplier (classic LU layout); the pivot row keeps its
-    own entries, which nothing reads again."""
+    own entries, which nothing reads again.
+
+    Reduction is delayed: a step subtracts products of two residues, each
+    in [0, (p - 1)^2], so after k steps since the rows below were last
+    reduced their entries lie in [-k (p - 1)^2, p), and `_strip_budget`
+    keeps k within int64.  A step reduces only what it reads as residues,
+    column j from the pivot row down (pivot search, multipliers) and the
+    pivot row's later entries (scaled by inv, an unreduced row would pass
+    2^63), and the whole rest once the budget runs out.  No step writes a
+    column at or left of its own, or a pivot row, so the block holds
+    residues when it is written back."""
     block = m[r:, lo:hi].astype(np.int64, order="F")  # columns contiguous
+    budget = _strip_budget(p)
     cols: list[int] = []
     invs: list[int] = []
     moved: dict[int, int] = {}  # block row -> the row of m (from r) it came from
-    nw = 0
+    nw = pending = 0
     for j in range(hi - lo):
+        if pending:
+            block[nw:, j] %= p
         if not block[nw, j]:
             nz = np.nonzero(block[nw:, j])[0]
             if nz.size == 0:
@@ -277,9 +306,15 @@ def _factor_strip(m: np.ndarray, r: int, lo: int, hi: int, p: int) -> tuple[list
             block[[nw, piv]] = block[[piv, nw]]
             moved[nw], moved[piv] = moved.get(piv, piv), moved.get(nw, nw)
         inv = pow(int(block[nw, j]), -1, p)
+        row = block[nw, j + 1 :]
+        if pending:
+            row %= p
         rest = block[nw + 1 :, j + 1 :]
-        rest -= np.multiply.outer(block[nw + 1 :, j], block[nw, j + 1 :] * inv % p)
-        rest %= p
+        rest -= np.multiply.outer(block[nw + 1 :, j], row * inv % p)
+        pending += 1
+        if pending == budget:
+            rest %= p
+            pending = 0
         cols.append(lo + j)
         invs.append(inv)
         nw += 1
@@ -530,14 +565,29 @@ def _trial_dims(
 
 
 # the latest alpha found, (n, m, config) -> (s, alpha), kept as a scan floor
-# for larger s; bounded, the least recently used key goes first
+# for larger s and a ceiling term for larger m at up to s points; bounded,
+# the least recently written key goes first
 _FLOOR_KEYS = 64
 _alpha_floors: dict[tuple[int, int, OracleConfig], tuple[int, int]] = {}
 
 
 def clear_alpha_floors() -> None:
-    """Forget every recorded alpha, so that each scan starts from m again."""
+    """Forget every recorded alpha, so that each scan starts from m again
+    and has no ceiling."""
     _alpha_floors.clear()
+
+
+def _alpha_ceiling(n: int, s: int, m: int, config: OracleConfig) -> float:
+    """min over 0 < a < m of alpha(a) + alpha(m - a) over the records of
+    (n, config) for at least s points, ignoring sums at or above the prime;
+    infinite when no pair is recorded."""
+    known: dict[int, int] = {}
+    for a in range(1, m):
+        s_a, alpha = _alpha_floors.get((n, a, config), (0, 0))
+        if s_a >= s:
+            known[a] = alpha
+    sums = (known[a] + known[m - a] for a in known if m - a in known)
+    return min((c for c in sums if c < config.prime), default=math.inf)
 
 
 def alpha_symbolic_power(
@@ -547,10 +597,12 @@ def alpha_symbolic_power(
 
     Searches upward from d = m, or from alpha(s') when the latest query at
     the same (n, m, config) was for s' < s points: one (s, alpha) record per
-    key, which is all that queries for ascending s use.  When the virtual
-    dimension C(d+n,n) - s*C(m+n-1,n) is positive the system is nonzero
-    without any rank computation (dimension >= columns - rows); only
-    candidate degrees below that point need the matrix.  Each candidate is
+    key, which is all that queries for ascending s use.  It stops at the
+    `_alpha_ceiling` from the records at lower powers, and answers that
+    degree without probing it.  When the virtual dimension
+    C(d+n,n) - s*C(m+n-1,n) is positive the system is nonzero without any
+    rank computation (dimension >= columns - rows); only candidate degrees
+    below that point need the matrix.  Each candidate is
     probed with a single trial first: a zero dimension there already equals
     the min over all trials, so only positive probes need confirmation.  The
     probe is trial 0 of the full count (the same (seed, 0) stream), so the
@@ -566,6 +618,16 @@ def alpha_symbolic_power(
     scan for s cannot stop below alpha(s').  Only a smaller s' is used, so a
     repeated query, or one for fewer points than the latest, redoes its work;
     the cost depends on earlier calls, the result does not.
+
+    Why the ceiling is exact: a trial's point set does not depend on m, and
+    positivity is monotone in d (times a linear form), so the scan's alpha
+    is the max over trials T of alpha_T, the least degree with a nonzero form
+    in trial T.  For nonzero F and G the product FG is nonzero and its order
+    at each point is the sum of theirs, so alpha_T(a + b) <= alpha_T(a) +
+    alpha_T(b), and the max over T keeps this.  The s-point set is a prefix
+    of the s_a-point set, so alpha(s, a) <= alpha(s_a, a) for s <= s_a.  A
+    ceiling at or above the prime is not used: the derivative conditions
+    test no such degree, and a full scan that reaches one raises.
     """
     if s < 1 or m < 1:
         raise ValueError("need s >= 1 and m >= 1")
@@ -576,9 +638,10 @@ def alpha_symbolic_power(
         else OracleConfig(prime=config.prime, trials=1, seed=config.seed)
     )
     conditions = s * binomial(m + n - 1, n)
+    ceiling = _alpha_ceiling(n, s, m, config)
     last_s, last_alpha = _alpha_floors.pop((n, m, config), (0, m))
     d = last_alpha if last_s < s else m
-    while binomial(d + n, n) - conditions <= 0:
+    while binomial(d + n, n) - conditions <= 0 and d < ceiling:
         if linear_system_dim(n, d, [m] * s, probe).dimension > 0 and all(
             dim > 0 for dim in _trial_dims(n, d, [m] * s, config, range(1, config.trials))
         ):

@@ -267,11 +267,11 @@ def test_replay_rejects_small_count_cases_that_do_not_hold(n, s, case, value):
 
 
 def test_decomposition_bound_values():
-    assert decomposition_bound(5, [(3, F(2)), (4, F(2))], 1) == 2
+    assert decomposition_bound(5, [(3, F(2)), (4, F(2))]) == 2
     # the cross-dimension shape: a1 = (n+l+1)/n, a2 = (n+l)/n
     n, level = 5, 2
     a1, a2 = F(n + level + 1, n), F(n + level, n)
-    value = decomposition_bound(n + 1, [(16, a1), (6, a2)], 1)
+    value = decomposition_bound(n + 1, [(16, a1), (6, a2)])
     assert value == F(level + 1) * (n + level) / ((n + level + 1) * n) + 1
     assert value > 1 + F(level + 1, n + 1)
 
@@ -282,20 +282,20 @@ def test_decomposition_bound_is_at_most_two():
     for n in (3, 11, 20, 64):
         for a1 in (a for a in grid if a > 1):
             for a2 in grid:
-                assert decomposition_bound(n, [(1, a1), (1, a2)], 1) <= 2, (n, a1, a2)
+                assert decomposition_bound(n, [(1, a1), (1, a2)]) <= 2, (n, a1, a2)
 
 
 def test_decomposition_bound_hypotheses():
     with pytest.raises(ValueError):
-        decomposition_bound(5, [(3, F(1)), (4, F(2))], 1)  # a1 not > k
+        decomposition_bound(5, [(3, F(1)), (4, F(2))])  # a1 not > 1
     with pytest.raises(ValueError):
-        decomposition_bound(5, [(3, F(5, 2)), (4, F(2))], 1)  # a1 > k+1
+        decomposition_bound(5, [(3, F(5, 2)), (4, F(2))])  # a1 > 2
     with pytest.raises(ValueError):
-        decomposition_bound(5, [(3, F(2)), (4, F(3))], 1)  # a_{k+1} > k+1
+        decomposition_bound(5, [(3, F(2)), (4, F(3))])  # a2 > 2
     with pytest.raises(ValueError):
-        decomposition_bound(5, [(3, F(2))], 1)  # arity
+        decomposition_bound(5, [(3, F(2))])  # arity
     with pytest.raises(ValueError):
-        decomposition_bound(2, [(3, F(2)), (4, F(2))], 1)  # no lower dimension
+        decomposition_bound(2, [(3, F(2)), (4, F(2))])  # no lower dimension
 
 
 def test_hh_examples():

@@ -15,10 +15,12 @@ from fatpoints.oracle import (
     OracleConfig,
     OracleError,
     _conditions_matrix,
+    _factor_strip,
     _is_probable_prime,
     _limbs,
     _monomial_exponents,
     _reduce_mod,
+    _strip_budget,
     _update_budget,
     alpha_symbolic_power,
     clear_alpha_floors,
@@ -389,6 +391,28 @@ def test_rank_at_the_exactness_bound_of_a_half():
         assert matrix_rank_mod(a, p) == reference_rank(a, p) == 32 + extra_rows
 
 
+def test_strip_steps_at_the_int64_budget():
+    # L has -1 below its unit diagonal and U -1 right of it, so every pivot
+    # is 1, every multiplier and scaled pivot row entry p - 1, and every
+    # strip step subtracts (p - 1)^2: two unreduced steps reach about
+    # -2 (p - 1)^2, the budget at the two primes near 2^31, and one more
+    # would pass -2^63.  In the rank-24 matrices columns 24..30 take no
+    # pivot, and the rows below are multiples of p there until reduced
+    for p in RANK_PRIMES:
+        assert _strip_budget(p) == (2 if p > FAST_PRIME else 131328)
+        for rows, cols, rank in ((40, 31, 31), (40, 31, 24), (70, 64, 64)):
+            left = np.tril(np.full((rows, rank), p - 1, dtype=np.int64), -1)
+            left[np.arange(rank), np.arange(rank)] = 1
+            right = np.triu(np.full((rank, cols), p - 1, dtype=np.int64), 1)
+            right[np.arange(rank), np.arange(rank)] = 1
+            a = exact_product_mod(left, right, p)
+            assert matrix_rank_mod(a, p) == reference_rank(a, p) == rank, (p, rows, cols)
+            # the strip writes back residues, with no reduction at its end
+            m = a.astype(np.float64)
+            assert len(_factor_strip(m, 0, 0, cols, p)[0]) == rank
+            assert ((0 <= m) & (m < p)).all(), (p, rows, cols)
+
+
 def test_quadric_through_nine_points_is_special():
     # Q^8 for the quadric Q through 9 general points of P^3: degree 16 with
     # nine points of multiplicity 8 has virtual dimension -111, but holds Q^8
@@ -621,3 +645,51 @@ def test_alpha_floor_record_stays_bounded(monkeypatch):
     assert {len(record) for record in oracle._alpha_floors.values()} == {2}
     clear_alpha_floors()
     assert not oracle._alpha_floors
+
+
+def full_count_scan(n, s, m, config):
+    """alpha from d = m up, every degree decided by all trials at once."""
+    conditions = s * comb(m + n - 1, n)
+    return next(d for d in range(m, config.prime)
+                if comb(d + n, n) > conditions
+                or linear_system_dim(n, d, [m] * s, config).dimension > 0)
+
+
+def test_alpha_ceiling_matches_a_full_scan(monkeypatch):
+    # m ascending at each s, as waldschmidt_upper_estimate asks: by the time
+    # (s, m) is asked, every a < m is recorded at s and gives a ceiling
+    calls = scan_calls(monkeypatch)
+    configs = (OracleConfig(prime=FAST_PRIME, trials=3, seed=77), OracleConfig(trials=2, seed=5))
+    decided = ceiling_calls = cleared_calls = 0
+    for cfg in configs:
+        for n in (2, 3, 4):
+            clear_alpha_floors()
+            alpha = {}
+            for s in range(1, 13):
+                for m in range(1, 5):
+                    calls.clear()
+                    alpha[s, m] = alpha_symbolic_power(n, s, m, cfg)
+                    ceiling_calls += len(calls)
+                    assert alpha[s, m] == full_count_scan(n, s, m, cfg), (cfg, n, s, m)
+                    ceiling = min((alpha[s, a] + alpha[s, m - a] for a in range(1, m)),
+                                  default=None)
+                    if ceiling is not None:
+                        assert all(d < ceiling for _, d, _ in calls), (cfg, n, s, m)
+                        decided += alpha[s, m] == ceiling
+    for cfg in configs:
+        for n in (2, 3, 4):
+            for s in range(1, 13):
+                for m in range(1, 5):
+                    clear_alpha_floors()
+                    calls.clear()
+                    alpha_symbolic_power(n, s, m, cfg)
+                    cleared_calls += len(calls)
+    assert decided > 0
+    assert ceiling_calls < cleared_calls
+    # a ceiling at the prime (alpha(1) + alpha(3) = 2 + 5 at p = 7) is not used:
+    # the scan tests degrees 4..6, reaches 7 and raises, as a full scan does
+    config = OracleConfig(prime=7, trials=1, seed=1)
+    clear_alpha_floors()
+    assert [alpha_symbolic_power(3, 6, m, config) for m in (1, 2, 3)] == [2, 4, 5]
+    with pytest.raises(OracleError, match="must exceed the degree 7"):
+        alpha_symbolic_power(3, 6, 4, config)
