@@ -89,7 +89,7 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise OracleError("need at least one trial")
-        if not 3 <= self.prime < _PRIME_LIMIT or not _is_probable_prime(self.prime):
+        if not 3 <= self.prime < _PRIME_LIMIT or not _is_prime(self.prime):
             raise OracleError(f"{self.prime} is not a prime below 2^31")
 
 
@@ -117,28 +117,9 @@ class OracleReport:
 
 
 @lru_cache
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _is_prime(n: int) -> bool:
+    """Exact for n >= 3, by trial division by 2 and the odd q <= sqrt(n)."""
+    return n % 2 == 1 and all(n % q for q in range(3, math.isqrt(n) + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +133,8 @@ def matrix_rank_mod(a: np.ndarray, p: int) -> int:
     return _rank_float_panels(a, p) if a.size else 0
 
 
-def _reduce_mod(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
-    """x mod p in place, for float64 integers |x| < 2^53; `scratch` is a flat
-    float64 buffer of at least x.size entries.
+def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers |x| < 2^53.
 
     q = floor(x * fl(1/p)) is floor(x/p) + e with e in {-1, 0, 1}: rounding
     1/p and the product errs by under |x/p| * (2^-52 + 2^-106) < 2/p <= 1.
@@ -164,7 +144,7 @@ def _reduce_mod(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
     and x - q*p lies in [-p, 2p).  One conditional +p and one -p finish.
     (q*p itself can pass -2^53 and round when x is near -2^53.)
     """
-    q = np.multiply(x, 1.0 / p, out=scratch[: x.size].reshape(x.shape))
+    q = x * (1.0 / p)
     np.floor(q, out=q)
     x -= q
     q *= p - 1
@@ -216,29 +196,27 @@ def _limbs(f: np.ndarray, two_limbs: bool) -> list[np.ndarray]:
     return [hi, f]
 
 
-def _matmul_mod(out: np.ndarray, limbs: list[np.ndarray], u: np.ndarray, p: int,
-                scratch: np.ndarray) -> None:
+def _matmul_mod(out: np.ndarray, limbs: list[np.ndarray], u: np.ndarray, p: int) -> None:
     """out -= limbs @ u up to a multiple of p, for at most _PANEL rows of u
     with entries in [0, p): the subtracted integer lies in [0, bound) of
-    `_update_budget`.  `scratch` holds out.size float64s per limb.
+    `_update_budget`, and out is left unreduced for the caller.
 
     Every partial sum is exact: one limb sums at most 64 terms below p^2,
     under 64 p^2 < 2^53; two limbs (hi < 2^15, lo < 2^16) sum terms below
     2^46 and 2^47, under 2^53, and each product is reduced before hi is
     scaled by 2^16 (adding the unreduced lo product could pass 2^53).
     """
-    prod = scratch[: out.size].reshape(out.shape)
     for k, limb in enumerate(limbs):
-        np.matmul(limb, u, out=prod)
+        prod = limb @ u
         if len(limbs) == 2:
-            _reduce_mod(prod, p, scratch[out.size :])
+            _reduce_mod(prod, p)
             if k == 0:
                 prod *= 1 << 16
         out -= prod
 
 
-def _extend_inverse(neg: np.ndarray, t: np.ndarray, invs: list[int], p: int, two_limbs: bool,
-                    scratch: np.ndarray) -> None:
+def _extend_inverse(neg: np.ndarray, t: np.ndarray, invs: list[int], p: int,
+                    two_limbs: bool) -> None:
     """Extend N = -T^-1 mod p from its leading k0 x k0 block to k1 rows and
     columns, in place in the int64 array `neg`, zero outside that block.  T is
     lower triangular: its diagonal holds the pivots (1 / invs) and its
@@ -256,9 +234,8 @@ def _extend_inverse(neg: np.ndarray, t: np.ndarray, invs: list[int], p: int, two
     y = neg[k0:k1, :k1]
     if k0:
         w = np.zeros((k1 - k0, k0))
-        _matmul_mod(w, _limbs(t[:, :k0], two_limbs), neg[:k0, :k0].astype(np.float64), p,
-                    scratch)
-        y[:, :k0] = _reduce_mod(w, p, scratch)
+        _matmul_mod(w, _limbs(t[:, :k0], two_limbs), neg[:k0, :k0].astype(np.float64), p)
+        y[:, :k0] = _reduce_mod(w, p)
     y[:, k0:] = np.eye(len(invs), dtype=np.int64) * (p - 1)
     d_inv = np.array(invs, dtype=np.int64)
     ell = t[:, k0:].astype(np.int64) * d_inv % p
@@ -331,9 +308,8 @@ class _Panel:
     their inverses and, for the first `built` of them, N = -T^-1 in `neg`
     (`_extend_inverse`), built only when an update needs it."""
 
-    def __init__(self, m: np.ndarray, r0: int, width: int, p: int, two_limbs: bool,
-                 scratch: np.ndarray) -> None:
-        self.m, self.r0, self.p, self.two_limbs, self.scratch = m, r0, p, two_limbs, scratch
+    def __init__(self, m: np.ndarray, r0: int, width: int, p: int, two_limbs: bool) -> None:
+        self.m, self.r0, self.p, self.two_limbs = m, r0, p, two_limbs
         self.cols: list[int] = []
         self.invs: list[int] = []
         self.neg = np.zeros((width, width), dtype=np.int64)
@@ -344,7 +320,8 @@ class _Panel:
         so far, with the pivots, swaps and multipliers of one `_factor_strip`
         sweep over those columns.  Recursive: halve while both halves have at
         least _STRIP columns, factor the left half, apply its pivots to the
-        right half's columns and factor the right half below them."""
+        right half's columns, reduce the rows below there, and factor the
+        right half below them."""
         k0 = len(self.cols)
         if hi - lo < 2 * _STRIP:
             cols, invs = _factor_strip(self.m, self.r0 + k0, lo, hi, self.p)
@@ -357,39 +334,33 @@ class _Panel:
         if self.r0 + k1 == self.m.shape[0]:
             return
         if k1 > k0:
-            self.update(k0, k1, mid, hi, reduce_top=False, reduce_rest=True)
+            self.update(k0, k1, mid, hi)
+            _reduce_mod(self.m[self.r0 + k1 :, mid:hi], self.p)
         self.factor(mid, hi)
 
-    def update(self, k0: int, k1: int, lo: int, hi: int, reduce_top: bool,
-               reduce_rest: bool) -> None:
+    def update(self, k0: int, k1: int, lo: int, hi: int) -> None:
         """Apply pivots k0:k1 to columns lo:hi of m: their rows R there become
         the eliminated form U = T^-1 R, where T is their diagonal block of the
         panel's T and -T^-1 that block of N, and each row below loses its
         stored multipliers times U.  Two limb matmuls per column chunk of
-        _UPDATE_COLS, each with at most 64 terms.  R must be residues unless
-        `reduce_top`; each row below takes one delayed update, reduced at once
-        when `reduce_rest`."""
-        m, p, two_limbs, scratch = self.m, self.p, self.two_limbs, self.scratch
+        _UPDATE_COLS, each with at most 64 terms, which also bounds their
+        temporaries.  R must be residues, and each row below takes one delayed
+        update, left for the caller to reduce."""
+        m, p, two_limbs = self.m, self.p, self.two_limbs
         r, cols = self.r0 + k0, self.cols[k0:k1]
         if self.built < k1:
             t = m[self.r0 + self.built : self.r0 + k1, self.cols[:k1]]
-            _extend_inverse(self.neg, t, self.invs[self.built : k1], p, two_limbs, scratch)
+            _extend_inverse(self.neg, t, self.invs[self.built : k1], p, two_limbs)
             self.built = k1
         solve = _limbs(self.neg[k0:k1, k0:k1].astype(np.float64), two_limbs)
         lower = _limbs(m[self.r0 + k1 :, cols], two_limbs)
         for c0 in range(lo, hi, _UPDATE_COLS):
             c1 = min(c0 + _UPDATE_COLS, hi)
             top = m[r : self.r0 + k1, c0:c1]
-            if reduce_top:
-                _reduce_mod(top, p, scratch)
-            u = scratch[: top.size].reshape(top.shape)
-            u.fill(0)
-            _matmul_mod(u, solve, top, p, scratch[top.size :])  # solve holds -T^-1
-            top[:] = _reduce_mod(u, p, scratch[top.size :])
-            rest = m[self.r0 + k1 :, c0:c1]
-            _matmul_mod(rest, lower, top, p, scratch)
-            if reduce_rest:
-                _reduce_mod(rest, p, scratch)
+            u = np.zeros(top.shape)
+            _matmul_mod(u, solve, top, p)  # solve holds -T^-1
+            top[:] = _reduce_mod(u, p)
+            _matmul_mod(m[self.r0 + k1 :, c0:c1], lower, top, p)
 
 
 def _rank_float_panels(a: np.ndarray, p: int) -> int:
@@ -408,30 +379,35 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
     `_Panel.factor` factors each panel of _PANEL columns in residues, and
     `_Panel.update` applies its pivots to the trailing columns: the update
     that `factor` applies to a right half inside the panel, reduced there at
-    once.  Its products have at most 64 terms on the trailing columns and at
-    most 32 inside a panel, so the exactness bounds of `_update_budget` and
-    `_matmul_mod` cover both.  The arithmetic is exact mod p, so every pivot,
-    swap and multiplier is that of a column-by-column sweep.
+    once.  The callers reduce: here the pivot rows before a trailing update
+    when `pending` is nonzero, and the rows below after it, in the update's
+    column chunks, when `pending` wraps to 0.  Its products have at most 64
+    terms on the trailing columns and at most 32 inside a panel, so the
+    exactness bounds of `_update_budget` and `_matmul_mod` cover both.  The
+    arithmetic is exact mod p, so every pivot, swap and multiplier is that of
+    a column-by-column sweep.
     """
     two_limbs, _, budget = _update_budget(p)
     m = np.empty(a.shape, dtype=np.float64)
     np.remainder(a, p, out=m)
     rows, cols = m.shape
-    # an update's product and reduction, behind room for the pivot rows' U
-    chunk = min(cols, _UPDATE_COLS)
-    scratch = np.empty(((1 + two_limbs) * rows + _PANEL) * chunk)
     rank = col = pending = 0
     while rank < rows and col < cols:
         hi = min(col + _PANEL, cols)
         if pending:
-            _reduce_mod(m[rank:, col:hi], p, scratch)
-        panel = _Panel(m, rank, hi - col, p, two_limbs, scratch)
+            _reduce_mod(m[rank:, col:hi], p)
+        panel = _Panel(m, rank, hi - col, p, two_limbs)
         panel.factor(col, hi)
         k = len(panel.cols)
         rank += k
         if k and rank < rows and hi < cols:
-            panel.update(0, k, hi, cols, reduce_top=pending > 0, reduce_rest=pending + 1 == budget)
+            if pending:
+                _reduce_mod(m[rank - k : rank, hi:], p)
+            panel.update(0, k, hi, cols)
             pending = (pending + 1) % budget
+            if not pending:
+                for c0 in range(hi, cols, _UPDATE_COLS):
+                    _reduce_mod(m[rank:, c0 : c0 + _UPDATE_COLS], p)
         col = hi
     return rank
 

@@ -1,5 +1,6 @@
 """The lower-bound rule engine, derivation replay, and the numeric criteria."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -212,6 +213,18 @@ FORGED = {
             (waldschmidt_lower_bound(2, 1).derivation,),
         ),
         "dimension and point count must be integers, got 2 and 4.0",
+    ),
+    "monotone without a premise": (
+        lambda: ProofTree(RULE_MONOTONE, F(10), (("s", 3), ("s0", 2))),
+        "rule monotone needs exactly one premise",
+    ),
+    "certified without a certificate": (
+        lambda: dataclasses.replace(_fat_certified(), certificate=None),
+        "certified rule without a certificate",
+    ),
+    "unknown rule": (
+        lambda: ProofTree("induction", F(1), (("n", 4), ("s", 3))),
+        "unknown rule 'induction'",
     ),
 }
 

@@ -16,7 +16,7 @@ from fatpoints.oracle import (
     OracleError,
     _conditions_matrix,
     _factor_strip,
-    _is_probable_prime,
+    _is_prime,
     _limbs,
     _monomial_exponents,
     _reduce_mod,
@@ -35,7 +35,7 @@ FAST = OracleConfig(prime=FAST_PRIME, seed=11)
 # one-limb prime, and two two-limb primes just below 2^31
 RANK_PRIMES = (FAST_PRIME, DEFAULT_PRIME, 2147483629)
 # the largest prime with 64 p^2 < 2^53, whose kernel still takes one limb
-LAST_ONE_LIMB_PRIME = next(p for p in range(11863283, 0, -2) if _is_probable_prime(p))
+LAST_ONE_LIMB_PRIME = next(p for p in range(11863283, 0, -2) if _is_prime(p))
 
 
 def test_classical_plane_systems():
@@ -127,6 +127,16 @@ def test_config_validation():
         linear_system_dim(2, 2, [1, -2], CFG)
 
 
+def test_prime_check_is_exact():
+    sieve = [True] * 5001
+    for q in range(2, 71):
+        sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+    assert [n for n in range(3, 5001) if _is_prime(n)] == [n for n in range(3, 5001) if sieve[n]]
+    # primes just below 2^31 and the one-limb limit, and odd composites by them
+    assert _is_prime(DEFAULT_PRIME) and _is_prime(2147483629) and _is_prime(11863279)
+    assert not any(_is_prime(n) for n in (DEFAULT_PRIME - 2, 2147483631, 11863281, 46337**2))
+
+
 def test_primes_beyond_the_kernel_are_rejected():
     assert OracleConfig(prime=DEFAULT_PRIME).prime == (1 << 31) - 1
     for prime in (4294967311, 2305843009213693951):  # primes above 2^31
@@ -213,11 +223,11 @@ def test_reduce_mod_matches_python_mod():
         want = [v % p for v in values]
         x = np.array(values, dtype=np.float64)
         assert x.astype(np.int64).tolist() == values  # every value is exact
-        assert _reduce_mod(x.copy(), p, np.empty(x.size)).astype(np.int64).tolist() == want
-        # in place on a strided column, through a caller's scratch buffer
+        assert _reduce_mod(x.copy(), p).astype(np.int64).tolist() == want
+        # in place on a strided column
         block = np.zeros((x.size, 3))
         block[:, 1] = x
-        _reduce_mod(block[:, 1], p, np.empty(x.size + 7))
+        _reduce_mod(block[:, 1], p)
         assert block[:, 1].astype(np.int64).tolist() == want
         assert not block[:, [0, 2]].any()
 
@@ -292,9 +302,11 @@ def test_multi_panel_ranks_known_by_construction():
         for rows, cols, rank in shapes:
             a = rank_by_construction(rng, rows, cols, rank, p)
             assert matrix_rank_mod(a, p) == rank, (p, rows, cols, rank)
-    # one limb, whose budget of 2 reduces the whole block every other panel
-    a = rank_by_construction(rng, 700, 700, 650, FAST_PRIME)
-    assert matrix_rank_mod(a, FAST_PRIME) == 650
+    # one limb, whose budgets of 2 and 1 reduce the whole block after every
+    # other trailing update and after every one
+    for p in (FAST_PRIME, LAST_ONE_LIMB_PRIME):
+        a = rank_by_construction(rng, 700, 700, 650, p)
+        assert matrix_rank_mod(a, p) == 650, p
 
 
 def test_rank_past_the_update_budget():

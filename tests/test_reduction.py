@@ -1,5 +1,6 @@
 """Reduction moves, proof search, merging, verification, serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -527,6 +528,19 @@ def test_verify_reasons_of_reduce_and_contradiction_tampers(edit, failed_step, r
     edit(data)
     res = verify_certificate(certificate_from_dict(data))
     assert (res.ok, res.failed_step, res.reason) == (False, failed_step, reason)
+
+
+def test_verify_rejects_a_step_that_does_not_chain():
+    # JSON cannot break the chain (each step's input is its predecessor's
+    # output), so step 1 is given step 0's input in Python
+    cert = prove_empty(EIGHT_POINT_ROWS[0])
+    steps = list(cert.steps)
+    assert steps[0].input != steps[0].output
+    steps[1] = dataclasses.replace(steps[1], input=steps[0].input)
+    res = verify_certificate(dataclasses.replace(cert, steps=tuple(steps)))
+    assert (res.ok, res.failed_step, res.reason) == (
+        False, 1, "step input does not chain from the previous system"
+    )
 
 
 # ---------------------------------------------------------------------------
