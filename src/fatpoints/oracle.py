@@ -30,6 +30,11 @@ Criterion 7 asks m = 1, 2, ... at each s and s = 1, 2, ... for each n, so
 the latest query is the largest floor a longer history could give it, and
 the powers below m are on record at s when m is asked.
 
+Rows: each entry is a product over the coordinates, so a point's rows are
+built from one small table per half of the coordinates, and an entry is one
+product of two table entries mod p.  Which table entry a row and a column
+read depends only on (n, d, frame) and (n, m, d), and is cached.
+
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
 blocked kernel.  Each 64-column panel is factored recursively, in the manner
 of the PLUQ of Dumas, Pernet and Sultan (ISSAC 2013): halves down to
@@ -37,16 +42,19 @@ of the PLUQ of Dumas, Pernet and Sultan (ISSAC 2013): halves down to
 eliminates column by column within the strip's own columns (reducing the
 rows below only when a budget of steps computed from p runs out), and a left
 half's pivots reach the right half through the float64 BLAS update that also
-takes a whole panel's pivots to the trailing columns.  Its products have at
-most 64 terms (32 inside a panel), exact in float64 with the multipliers as
-one limb when 64*p*p < 2^53, otherwise as two 16-bit limbs.  The arithmetic
-is exact mod p, so every pivot, row swap and multiplier is that of a
-column-by-column sweep.  Reduction mod p is delayed: trailing entries are
-integers below 2^53 in magnitude, reduced only where a residue is needed
-(panel columns, pivot rows) and, as a whole block, once the updates since
-the last reduction reach a budget computed from p (63 at 2^31 - 1, 2 at
-FAST_PRIME).  `_reduce_mod` reduces with a multiply by 1/p and a floor, not
-`np.remainder`, and proves its quotient correction.
+takes a whole panel's pivots to the trailing columns.  Every product operand
+is a centered residue in [-h, h], h = p//2, as in FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ACM TOMS 2008); a product has at most 64 terms (32
+inside a panel), exact in float64 and below 2^51 with the multipliers as
+one limb when 64 h^2 < 2^51, otherwise as two limbs of at most 2^14 and
+2^15.  The arithmetic is exact mod p, so every pivot, row swap and
+multiplier is that of a column-by-column sweep.  Reduction mod p is
+delayed: trailing entries are integers below 2^51 in magnitude, reduced
+only where a residue is needed (panel columns, pivot rows) and, as a whole
+block, once the updates since the last reduction reach a budget computed
+from p (31 at 2^31 - 1, 2 at FAST_PRIME).  `_reduce_mod` gives the centered
+residue with a multiply by 1/p, a rint and a multiply-subtract, without
+masks, and proves it exact below 2^51.
 """
 from __future__ import annotations
 
@@ -63,14 +71,14 @@ from .core import FatPointSystem, binomial
 from .reduction import system_to_dict
 
 DEFAULT_PRIME = (1 << 31) - 1
-# a prime with 64 * p^2 < 2^53, whose rank kernel needs one limb, not two
+# a prime with 64 (p//2)^2 < 2^51, whose rank kernel needs one limb, not two
 FAST_PRIME = 8380417
 _PRIME_LIMIT = 1 << 31
 _PANEL = 64
 # a panel is halved while both halves are at least this wide, so a full
 # panel's strips, factored column by column, are this wide
 _STRIP = 16
-# chunks that bound temporaries: trailing-update columns, row-build entries
+# chunks that bound temporaries: update and reduction columns, row-build entries
 _UPDATE_COLS = 256
 _ROW_CHUNK = 1 << 18
 _SAMPLING_ATTEMPTS = 64
@@ -134,62 +142,71 @@ def matrix_rank_mod(a: np.ndarray, p: int) -> int:
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for float64 integers |x| < 2^53.
+    """The centered residue of x mod p, in [-(p//2), p//2], in place, for
+    float64 integers |x| < 2^51.
 
-    q = floor(x * fl(1/p)) is floor(x/p) + e with e in {-1, 0, 1}: rounding
-    1/p and the product errs by under |x/p| * (2^-52 + 2^-106) < 2/p <= 1.
-    x - q*p is then computed exactly as (x - q) - q*(p - 1): q has the sign
-    of x and |q| <= |x|, so |x - q| <= |x|; q*(p - 1) is an even integer (or
-    q, for p = 2) below 2^53 + 2p <= 2^54 in magnitude, so it is a float64;
-    and x - q*p lies in [-p, 2p).  One conditional +p and one -p finish.
-    (q*p itself can pass -2^53 and round when x is near -2^53.)
+    q = rint(x * fl(1/p)) is the integer nearest x/p: rounding 1/p and the
+    product errs by at most |x/p| * (2^-52 + 2^-106) < 1/(2p).  For odd p
+    that is at most the distance from x/p to any half-integer, since
+    (2x - (2k + 1) p) / (2p) has an odd numerator, so the product rounds to
+    the integer x/p rounds to.  For p = 2, x * 0.5 is exact and an odd x
+    gives +-1.  q*p and x - q*p are then integers below 2^52 in magnitude,
+    exact in float64.
     """
     q = x * (1.0 / p)
-    np.floor(q, out=q)
+    np.rint(q, out=q)
+    q *= p
     x -= q
-    q *= p - 1
-    x -= q
-    np.add(x, p, out=x, where=x < 0)
-    np.subtract(x, p, out=x, where=x >= p)
     return x
+
+
+def _reduce_cols(x: np.ndarray, p: int) -> None:
+    """`_reduce_mod` on x in column chunks of _UPDATE_COLS, which bound its
+    temporaries."""
+    for c0 in range(0, x.shape[1], _UPDATE_COLS):
+        _reduce_mod(x[:, c0 : c0 + _UPDATE_COLS], p)
 
 
 def _update_budget(p: int) -> tuple[bool, int, int]:
     """(two_limbs, bound, budget): every delayed update subtracts an integer
-    in [0, bound), and `budget` is the largest k with p + k*bound < 2^53.
+    of magnitude at most `bound` from centered residues, and `budget` is the
+    largest k with h + k*bound < 2^51, for h = p//2.
 
-    One limb while 64 p^2 < 2^53: a panel product sums at most 64 terms up
-    to (p - 1)^2, so bound = 64 p^2; the largest such p is 11863283, where
-    p + bound < 2^53 still holds, so the budget is at least 1.  Otherwise two
-    16-bit limbs, each product reduced into [0, p) before recombination, so
-    the update is at most (p - 1) * 2^16 + (p - 1) < p * 2^16 + p = bound.
-    At 2^31 - 1 the budget is 63 updates, at FAST_PRIME 2.
+    One limb while 64 h^2 < 2^51: a panel product sums at most 64 terms of
+    two centered residues, so bound = 64 h^2; the largest such p is 11863283,
+    where h + bound < 2^51 still holds, so the budget is at least 1.
+    Otherwise two limbs, each product reduced into [-h, h] before
+    recombination, so bound = h * 2^16 + h.  At 2^31 - 1 the budget is 31
+    updates, at FAST_PRIME 2 and at 11863279 1.
     """
-    bound = _PANEL * p * p
-    two_limbs = bound >= 1 << 53
+    h = p // 2
+    bound = _PANEL * h * h
+    two_limbs = bound >= 1 << 51
     if two_limbs:
-        bound = p * ((1 << 16) + 1)
-    return two_limbs, bound, ((1 << 53) - 1 - p) // bound
+        bound = h * ((1 << 16) + 1)
+    return two_limbs, bound, ((1 << 51) - 1 - h) // bound
 
 
 def _strip_budget(p: int) -> int:
     """The largest k with k (p - 1)^2 < 2^63: the steps `_factor_strip` may
-    take between reductions, since each subtracts an integer in
-    [0, (p - 1)^2] from entries in [0, p), and int64 holds down to -2^63.
+    take between reductions, since each moves its entries by at most
+    (p - 1)^2, and int64 holds down to -2^63.
     It is 2 at 2^31 - 1 and 131328 (just over 2^17) at FAST_PRIME, where a
     strip of at most 31 columns never reduces its whole rest."""
     return ((1 << 63) - 1) // ((p - 1) * (p - 1))
 
 
-def _limbs(f: np.ndarray, two_limbs: bool) -> list[np.ndarray]:
-    """Float64 residues in [0, p) as limbs: f itself, or (hi, lo) with
-    hi = floor(f * 2^-16) and lo = f - hi * 2^16, lo in place of f.  Each
-    step is exact for integers below 2^53: scaling by a power of two, the
-    floor, and a difference of two integers in [0, f]."""
+def _limbs(f: np.ndarray, p: int, two_limbs: bool) -> list[np.ndarray]:
+    """Float64 integers |f| < 2^51 as limbs of their centered residues, f
+    reduced in place: f itself, or (hi, lo) with hi = rint(f * 2^-16) and
+    lo = f - hi * 2^16 in place of f.  |f| <= p//2 < 2^30 gives |hi| <= 2^14
+    and |lo| <= 2^15, and each step is exact: scaling by a power of two,
+    rint, and a difference of two integers below 2^30."""
+    _reduce_mod(f, p)
     if not two_limbs:
         return [f]
     hi = np.multiply(f, 2.0**-16)
-    np.floor(hi, out=hi)
+    np.rint(hi, out=hi)
     hi *= 1 << 16
     f -= hi
     hi *= 2.0**-16
@@ -198,13 +215,13 @@ def _limbs(f: np.ndarray, two_limbs: bool) -> list[np.ndarray]:
 
 def _matmul_mod(out: np.ndarray, limbs: list[np.ndarray], u: np.ndarray, p: int) -> None:
     """out -= limbs @ u up to a multiple of p, for at most _PANEL rows of u
-    with entries in [0, p): the subtracted integer lies in [0, bound) of
-    `_update_budget`, and out is left unreduced for the caller.
+    with centered residues: the subtracted integer has magnitude at most
+    `bound` of `_update_budget`, and out is left unreduced for the caller.
 
-    Every partial sum is exact: one limb sums at most 64 terms below p^2,
-    under 64 p^2 < 2^53; two limbs (hi < 2^15, lo < 2^16) sum terms below
-    2^46 and 2^47, under 2^53, and each product is reduced before hi is
-    scaled by 2^16 (adding the unreduced lo product could pass 2^53).
+    Every partial sum is exact and below 2^51: one limb sums at most 64
+    terms of magnitude h^2, under 64 h^2 < 2^51; two limbs (|hi| <= 2^14,
+    |lo| <= 2^15) sum terms below 2^44 and 2^45, and each product is reduced
+    into [-h, h] before hi is scaled by 2^16.
     """
     for k, limb in enumerate(limbs):
         prod = limb @ u
@@ -221,20 +238,22 @@ def _extend_inverse(neg: np.ndarray, t: np.ndarray, invs: list[int], p: int,
     columns, in place in the int64 array `neg`, zero outside that block.  T is
     lower triangular: its diagonal holds the pivots (1 / invs) and its
     strictly lower part the stored multipliers.  `t` = T[k0:k1, :k1] as
-    float64 residues, for k1 = k0 + len(invs); what it holds on and above the
-    diagonal is ignored, and its first k0 columns are split in place.
+    float64 residues in (-p, p), for k1 = k0 + len(invs); what it holds on and
+    above the diagonal is ignored, and its first k0 columns are centered and
+    split in place.
 
     With T = [[A, 0], [B, C]], -T^-1 = [[-A^-1, 0], [C^-1 B A^-1, -C^-1]], so
     the new rows are C^-1 [-B N_A | -I] for N_A = -A^-1.  B N_A is one
-    `_matmul_mod` (k0 < 64 terms); C = L D with L unit lower triangular, L^-1
-    by forward elimination in int64 (products of two residues are below
-    2^62), then D^-1 = diag(invs)."""
+    `_matmul_mod` (k0 < 64 terms, N_A centered); C = L D with L unit lower
+    triangular, L^-1 by forward elimination in int64 (products of two
+    residues are below 2^62), then D^-1 = diag(invs)."""
     k1 = t.shape[1]
     k0 = k1 - len(invs)
     y = neg[k0:k1, :k1]
     if k0:
         w = np.zeros((k1 - k0, k0))
-        _matmul_mod(w, _limbs(t[:, :k0], two_limbs), neg[:k0, :k0].astype(np.float64), p)
+        n_a = _reduce_mod(neg[:k0, :k0].astype(np.float64), p)
+        _matmul_mod(w, _limbs(t[:, :k0], p, two_limbs), n_a, p)
         y[:, :k0] = _reduce_mod(w, p)
     y[:, k0:] = np.eye(len(invs), dtype=np.int64) * (p - 1)
     d_inv = np.array(invs, dtype=np.int64)
@@ -248,24 +267,27 @@ def _extend_inverse(neg: np.ndarray, t: np.ndarray, invs: list[int], p: int,
 
 
 def _factor_strip(m: np.ndarray, r: int, lo: int, hi: int, p: int) -> tuple[list[int], list[int]]:
-    """Column by column in int64, eliminate columns lo:hi of the residues in
-    rows r: of m below each pivot, within those columns only; return the
-    pivot columns and the pivots' inverses.  A pivot is the first nonzero
-    entry at or below the next pivot row, and a row swap puts it there (in
-    every column of m once the strip is done).  The rows below subtract
-    their entry times the pivot row scaled to a leading 1, and that entry
-    stays as their multiplier (classic LU layout); the pivot row keeps its
-    own entries, which nothing reads again.
+    """Column by column in int64, eliminate columns lo:hi of the centered
+    residues in rows r: of m below each pivot, within those columns only;
+    return the pivot columns and the pivots' inverses.  A pivot is the first
+    nonzero entry at or below the next pivot row, and a row swap puts it
+    there (in every column of m once the strip is done).  The rows below
+    subtract their entry times the pivot row scaled to a leading 1, and that
+    entry stays as their multiplier (classic LU layout); the pivot row keeps
+    its own entries, which nothing reads again.
 
-    Reduction is delayed: a step subtracts products of two residues, each
-    in [0, (p - 1)^2], so after k steps since the rows below were last
-    reduced their entries lie in [-k (p - 1)^2, p), and `_strip_budget`
-    keeps k within int64.  A step reduces only what it reads as residues,
-    column j from the pivot row down (pivot search, multipliers) and the
-    pivot row's later entries (scaled by inv, an unreduced row would pass
-    2^63), and the whole rest once the budget runs out.  No step writes a
-    column at or left of its own, or a pivot row, so the block holds
-    residues when it is written back."""
+    Reduction is delayed: a step subtracts its multipliers times the scaled
+    pivot row, in [0, p).  The multipliers are residues in [0, p), except at
+    the first step since the rows below were loaded, where they are centered
+    in [-h, h] for h = p//2.  So after k steps since the load or the last
+    reduction those rows lie in [-k (p - 1)^2, h p] (h p <= (p - 1)^2 for
+    odd p; at p = 2 a strip's at most 31 steps keep them below 64), and
+    `_strip_budget` keeps k within int64.  A step reduces only what it reads
+    as residues, column j from the pivot row down (pivot search,
+    multipliers) and the pivot row's later entries (scaled by inv, an
+    unreduced row would pass 2^63), and the whole rest once the budget runs
+    out.  No step writes a column at or left of its own, or a pivot row, so
+    the block holds residues in (-p, p) when it is written back."""
     block = m[r:, lo:hi].astype(np.int64, order="F")  # columns contiguous
     budget = _strip_budget(p)
     cols: list[int] = []
@@ -316,12 +338,12 @@ class _Panel:
         self.built = 0
 
     def factor(self, lo: int, hi: int) -> None:
-        """Factor columns lo:hi of the residues in m below the pivots found
-        so far, with the pivots, swaps and multipliers of one `_factor_strip`
-        sweep over those columns.  Recursive: halve while both halves have at
-        least _STRIP columns, factor the left half, apply its pivots to the
-        right half's columns, reduce the rows below there, and factor the
-        right half below them."""
+        """Factor columns lo:hi of the centered residues in m below the
+        pivots found so far, with the pivots, swaps and multipliers of one
+        `_factor_strip` sweep over those columns.  Recursive: halve while both
+        halves have at least _STRIP columns, factor the left half, apply its
+        pivots to the right half's columns, reduce the rows below there, and
+        factor the right half below them."""
         k0 = len(self.cols)
         if hi - lo < 2 * _STRIP:
             cols, invs = _factor_strip(self.m, self.r0 + k0, lo, hi, self.p)
@@ -344,16 +366,18 @@ class _Panel:
         panel's T and -T^-1 that block of N, and each row below loses its
         stored multipliers times U.  Two limb matmuls per column chunk of
         _UPDATE_COLS, each with at most 64 terms, which also bounds their
-        temporaries.  R must be residues, and each row below takes one delayed
-        update, left for the caller to reduce."""
+        temporaries.  R must be centered residues, U is left centered, and
+        each row below takes one delayed update, left for the caller to
+        reduce.  The multipliers and T come from the int64 strips, in
+        (-p, p), and are centered where they are split into limbs."""
         m, p, two_limbs = self.m, self.p, self.two_limbs
         r, cols = self.r0 + k0, self.cols[k0:k1]
         if self.built < k1:
             t = m[self.r0 + self.built : self.r0 + k1, self.cols[:k1]]
             _extend_inverse(self.neg, t, self.invs[self.built : k1], p, two_limbs)
             self.built = k1
-        solve = _limbs(self.neg[k0:k1, k0:k1].astype(np.float64), two_limbs)
-        lower = _limbs(m[self.r0 + k1 :, cols], two_limbs)
+        solve = _limbs(self.neg[k0:k1, k0:k1].astype(np.float64), p, two_limbs)
+        lower = _limbs(m[self.r0 + k1 :, cols], p, two_limbs)
         for c0 in range(lo, hi, _UPDATE_COLS):
             c1 = min(c0 + _UPDATE_COLS, hi)
             top = m[r : self.r0 + k1, c0:c1]
@@ -367,29 +391,32 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
     """Blocked elimination: recursive panel factorization, float64 BLAS
     updates with delayed reduction.
 
-    Invariant: every entry of m is an integer below 2^53 in magnitude; an
-    entry of the trailing block, after k updates since its last reduction,
-    lies in (-k * bound, p).  Reduction happens only where a residue is
-    needed: the next panel's columns before it is factored, the pivot rows
-    before they are an operand, and the whole trailing block once k reaches
-    the budget of `_update_budget`, so p + k * bound < 2^53 always holds.
-    `pending` counts the updates since the whole block was last reduced (or
-    since the start); at 0 nothing needs reducing.
+    Invariant: every entry of m is an integer below 2^51 in magnitude, and
+    every product operand a centered residue in [-h, h], h = p//2; the input
+    is centered after `np.remainder`.  An entry of the trailing block, after
+    k updates since its last reduction, is at most h + k * bound in
+    magnitude.  Reduction happens only where a residue is needed: the next
+    panel's columns before it is factored, the pivot rows before they are an
+    operand, and the whole trailing block once k reaches the budget of
+    `_update_budget`, so h + k * bound < 2^51 always holds.  `pending`
+    counts the updates since the whole block was last reduced (or since the
+    start); at 0 nothing needs reducing.
 
     `_Panel.factor` factors each panel of _PANEL columns in residues, and
     `_Panel.update` applies its pivots to the trailing columns: the update
     that `factor` applies to a right half inside the panel, reduced there at
     once.  The callers reduce: here the pivot rows before a trailing update
-    when `pending` is nonzero, and the rows below after it, in the update's
-    column chunks, when `pending` wraps to 0.  Its products have at most 64
-    terms on the trailing columns and at most 32 inside a panel, so the
-    exactness bounds of `_update_budget` and `_matmul_mod` cover both.  The
-    arithmetic is exact mod p, so every pivot, swap and multiplier is that of
-    a column-by-column sweep.
+    when `pending` is nonzero, and the rows below after it when `pending`
+    wraps to 0.  Its products have at most 64 terms on the trailing columns
+    and at most 32 inside a panel, so the exactness bounds of
+    `_update_budget` and `_matmul_mod` cover both.  The arithmetic is exact
+    mod p, so every pivot, swap and multiplier is that of a column-by-column
+    sweep.
     """
     two_limbs, _, budget = _update_budget(p)
     m = np.empty(a.shape, dtype=np.float64)
     np.remainder(a, p, out=m)
+    _reduce_cols(m, p)
     rows, cols = m.shape
     rank = col = pending = 0
     while rank < rows and col < cols:
@@ -406,8 +433,7 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
             panel.update(0, k, hi, cols)
             pending = (pending + 1) % budget
             if not pending:
-                for c0 in range(hi, cols, _UPDATE_COLS):
-                    _reduce_mod(m[rank:, c0 : c0 + _UPDATE_COLS], p)
+                _reduce_cols(m[rank:, hi:], p)
         col = hi
     return rank
 
@@ -416,12 +442,16 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
 # conditions matrix
 
 
+@lru_cache
 def _monomial_exponents(n: int, d: int) -> np.ndarray:
     """Affine exponent vectors e with |e| <= d (the omitted homogenizing
     variable absorbs d - |e|), in lexicographic order.  They are the gaps
-    e_i = c_i - c_(i-1) - 1 of the n-subsets c of range(d + n), in their order."""
+    e_i = c_i - c_(i-1) - 1 of the n-subsets c of range(d + n), in their order.
+    Cached, and read-only."""
     c = np.array(list(combinations(range(d + n), n)), dtype=np.int64).reshape(-1, n)
-    return np.diff(c, axis=1, prepend=-1) - 1
+    exps = np.diff(c, axis=1, prepend=-1) - 1
+    exps.setflags(write=False)
+    return exps
 
 
 def _falling_factorials(d: int, max_order: int, p: int) -> np.ndarray:
@@ -435,13 +465,73 @@ def _falling_factorials(d: int, max_order: int, p: int) -> np.ndarray:
     return ff
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, index): the distinct rows u of a nonnegative integer matrix a,
+    and the row of u each row of a equals (a == u[index]).  Column by
+    column, each row's prefix is ranked among the distinct prefixes from a
+    dense table over (the rank of its prefix so far, its next entry): no
+    sort, and no table of more than len(a) * (a.max() + 1) entries."""
+    radix = int(a.max(initial=0)) + 1
+    index = np.zeros(a.shape[0], dtype=np.int64)
+    count = 1
+    for col in a.T:
+        key = index * radix + col
+        seen = np.zeros(count * radix, dtype=bool)
+        seen[key] = True
+        index = (np.cumsum(seen) - 1)[key]
+        count = int(seen.sum())
+    some = np.empty(count, dtype=np.int64)  # a row of each distinct row, any
+    some[index] = np.arange(a.shape[0])
+    return a[some], index
+
+
+def _halves(n: int) -> tuple[range, range]:
+    """The two halves of the coordinates that conditions rows are split by."""
+    return range(n // 2), range(n // 2, n)
+
+
+@lru_cache
+def _column_halves(n: int, d: int) -> list:
+    """Per half of the coordinates, the distinct halves of the exponent
+    vectors of `_monomial_exponents(n, d)` and the index of each vector's
+    half among them.  The monomials of degree d index columns, and the
+    orders |beta| <= d rows.  Cached, as it depends on (n, d) alone;
+    callers only read it."""
+    exps = _monomial_exponents(n, d)
+    return [_distinct_rows(exps[:, half]) for half in _halves(n)]
+
+
+def _half_rows(factor: np.ndarray, sel: np.ndarray, half: range, orders: tuple,
+               monomials: tuple, p: int) -> np.ndarray:
+    """For each point of `sel`, the product of `factor` over the coordinates
+    of one half: a table over the distinct half-orders and half-exponents,
+    gathered into (orders x monomials) by each order's and each monomial's
+    row of that table.  `orders` and `monomials` are (distinct halves,
+    index) pairs of `_distinct_rows`."""
+    (ub, bi), (ue, ei) = orders, monomials
+    table = np.ones((sel.size, len(ub), len(ue)), dtype=np.int64)
+    for k, j in enumerate(half):
+        table *= factor[sel, j][:, ub[:, k, None], ue[:, k]]
+        table %= p
+    return table[:, bi[:, None], ei]
+
+
 def _conditions_matrix(
-    exps: np.ndarray, points: np.ndarray, mults: Sequence[int], d: int, p: int
+    columns: tuple[np.ndarray, list], points: np.ndarray, mults: Sequence[int], d: int, p: int
 ) -> np.ndarray:
     """Point by point, the rows of the order-< m derivative functionals in
-    lex order of the order beta, on the monomials `exps`; rows with |beta| > d
-    stay zero.  Points of one multiplicity are built in one broadcast over
-    (points x orders x monomials), about _ROW_CHUNK entries at a time."""
+    lex order of the order beta, on the monomials `exps` of `columns`, with
+    their half maps as `_column_halves` gives them (or a subset of those
+    maps' rows); rows with |beta| > d stay zero.
+
+    The entry of row beta and column e at point x is a product over the
+    coordinates, prod_j ff[beta_j, e_j] x_j^(e_j - beta_j) mod p (zero where
+    some e_j < beta_j).  So it is built from the two halves of the
+    coordinates: per point, one table per half over the distinct half-orders
+    and half-exponents, and each entry is one product of two table entries.
+    Points of one multiplicity are built in one broadcast over (points x
+    orders x monomials), about _ROW_CHUNK entries at a time."""
+    exps, exp_halves = columns
     count, n = points.shape
     sizes = [binomial(m - 1 + n, n) for m in mults]
     starts = np.cumsum([0] + sizes[:-1])
@@ -449,23 +539,23 @@ def _conditions_matrix(
     pows = np.ones((count, n, d + 1), dtype=np.int64)
     for t in range(1, d + 1):
         pows[:, :, t] = pows[:, :, t - 1] * points % p
-    ff = _falling_factorials(d, min(max(mults) - 1, d), p)
+    top = min(max(mults) - 1, d)
+    # factor[i, j, b, e] = ff[b, e] * x_ij^(e - b): point i, coordinate j
+    shift = np.maximum(np.arange(d + 1) - np.arange(top + 1)[:, None], 0)
+    factor = pows[:, :, shift] * _falling_factorials(d, top, p) % p
     for m in sorted(set(mults)):
-        betas = _monomial_exponents(n, m - 1)
-        kept = np.flatnonzero(betas.sum(axis=1) <= d)
-        betas = betas[kept]
-        # prod_j ff[beta_j, e_j]: zero wherever an exponent is below the order
-        coef = np.ones((kept.size, exps.shape[0]), dtype=np.int64)
-        for j in range(n):
-            coef = coef * ff[betas[:, j]][:, exps[:, j]] % p
+        # the orders |beta| <= min(d, m - 1), in lex order, are those of
+        # _monomial_exponents(n, min(d, m - 1))
+        kept = np.flatnonzero(_monomial_exponents(n, m - 1).sum(axis=1) <= d)
+        # per half: its coordinates, and the half maps of orders and columns
+        halves = list(zip(_halves(n), _column_halves(n, min(d, m - 1)), exp_halves))
         group = np.flatnonzero(np.array(mults) == m)
-        step = max(1, _ROW_CHUNK // coef.size)
+        step = max(1, _ROW_CHUNK // (kept.size * exps.shape[0]))
         for c in range(0, group.size, step):
             sel = group[c : c + step]
-            vals = np.tile(coef, (sel.size, 1, 1))
-            for j in range(n):
-                vals *= pows[sel, j][:, np.maximum(exps[:, j] - betas[:, j, None], 0)]
-                vals %= p
+            vals = _half_rows(factor, sel, *halves[0], p)
+            vals *= _half_rows(factor, sel, *halves[1], p)
+            vals %= p
             out[(starts[sel, None] + kept).ravel()] = vals.reshape(-1, exps.shape[0])
     return out
 
@@ -528,14 +618,20 @@ def _trial_dims(
     for i, m in enumerate(frame):
         keep &= exps[:, i] <= d - m if i < n else exps.sum(axis=1) >= m
     exps = exps[keep]
+    if rest and exps.size:
+        # every distinct half of degree d stays, so a few table entries may
+        # go unread
+        columns = exps, [(u, index[keep]) for u, index in _column_halves(n, d)]
     dims: list[int] = []
     for trial in trials:
         rng = np.random.default_rng([config.seed % (1 << 64), trial])
         rank = 0
         if rest and exps.size:
             points = _sample_points(rng, n, len(rest), config.prime)
-            matrix = _conditions_matrix(exps, points, rest, d, config.prime)
-            rank = matrix_rank_mod(matrix, config.prime)
+            # no name holds the matrix, so it is freed before the next is built
+            rank = matrix_rank_mod(
+                _conditions_matrix(columns, points, rest, d, config.prime), config.prime
+            )
         dims.append(exps.shape[0] - rank)
     return dims
 

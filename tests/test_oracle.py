@@ -14,7 +14,9 @@ from fatpoints.oracle import (
     FAST_PRIME,
     OracleConfig,
     OracleError,
+    _column_halves,
     _conditions_matrix,
+    _distinct_rows,
     _factor_strip,
     _is_prime,
     _limbs,
@@ -34,7 +36,7 @@ CFG = OracleConfig(seed=11)
 FAST = OracleConfig(prime=FAST_PRIME, seed=11)
 # one-limb prime, and two two-limb primes just below 2^31
 RANK_PRIMES = (FAST_PRIME, DEFAULT_PRIME, 2147483629)
-# the largest prime with 64 p^2 < 2^53, whose kernel still takes one limb
+# the largest prime with 64 (p//2)^2 < 2^51, whose kernel still takes one limb
 LAST_ONE_LIMB_PRIME = next(p for p in range(11863283, 0, -2) if _is_prime(p))
 
 
@@ -187,18 +189,20 @@ def test_rank_kernels_agree():
 
 
 def test_rank_at_the_float64_exactness_bound():
-    # 64 identity pivot rows over entries p - 1, then rows whose 64 panel
-    # multipliers all have low limb 2^16 - 1: every low-limb panel product is
-    # 64 * (2^16 - 1) * (p - 1), just below 2^53 for the two-limb primes
+    # 64 identity pivot rows over entries h = p // 2, then rows whose 64 panel
+    # multipliers are 2^15 above a multiple of 2^17, so that their limbs are
+    # an even hi and lo = 2^15: every low-limb panel product is 64 * 2^15 * h,
+    # just below 2^51 for the two-limb primes
     rng = np.random.default_rng(8)
     for p in RANK_PRIMES:
-        extra_rows, extra_cols = 16, 400
+        extra_rows, extra_cols, h = 16, 400, p // 2
         top = np.hstack(
-            [np.eye(64, dtype=np.int64), np.full((64, extra_cols), p - 1, dtype=np.int64)]
+            [np.eye(64, dtype=np.int64), np.full((64, extra_cols), h, dtype=np.int64)]
         )
-        mults = (rng.integers(0, p >> 16, size=(extra_rows, 64)) << 16) | 0xFFFF
-        mults[0, :] = ((p >> 16) << 16) - 1  # the largest such multiplier below p
-        assert (mults < p).all()
+        largest = (h - (1 << 15)) >> 17
+        mults = (rng.integers(0, largest, size=(extra_rows, 64)) << 17) | (1 << 15)
+        mults[0, :] = (largest << 17) | (1 << 15)  # the largest such multiplier up to h
+        assert (mults <= h).all()
         # the trailing rows equal their eliminated value: rank stays 64
         tail = (mults.astype(object) @ top[:, 64:].astype(object) % p).astype(np.int64)
         a = np.vstack([top, np.hstack([mults, tail])])
@@ -208,53 +212,76 @@ def test_rank_at_the_float64_exactness_bound():
         assert matrix_rank_mod(a, p) == reference_rank(a, p) == 64 + extra_rows
 
 
+def centered(v, p):
+    """The residue of v mod p in [-(p // 2), p // 2]."""
+    r = v % p
+    return r - p if r > p // 2 else r
+
+
 def test_reduce_mod_matches_python_mod():
     rng = np.random.default_rng(29)
-    top = (1 << 53) - 1
-    for p in RANK_PRIMES + (3, 65521):
-        edge = [0, 1, p - 1, p, top]
-        for k in (1, 2, 3, 1000, (top - 1) // p):
-            edge += [k * p - 1, k * p + 1]
+    top = (1 << 51) - 1
+    for p in RANK_PRIMES + (2, 3, 5, 7, 65521, LAST_ONE_LIMB_PRIME):
+        h = p // 2
+        edge = [0, 1, h, h + 1, p - 1, p, top]
+        # k p + h and k p + h + 1 put x / p next to a half-integer
+        for k in (1, 2, 3, 1000, (top - p) // p, top // p - 1):
+            edge += [k * p - 1, k * p + 1, k * p + h, k * p + h + 1]
         values = [sign * v for v in edge for sign in (1, -1)]
         values += rng.integers(-top, top, size=4000, endpoint=True).tolist()
-        # within a few p of +-2^53, where q*p itself need not be a float64
+        # within a few p of +-2^51
         values += [sign * int(v) for v in rng.integers(top - 4 * p, top, size=500, endpoint=True)
                    for sign in (1, -1)]
-        want = [v % p for v in values]
+        assert max(map(abs, values)) == top
         x = np.array(values, dtype=np.float64)
         assert x.astype(np.int64).tolist() == values  # every value is exact
-        assert _reduce_mod(x.copy(), p).astype(np.int64).tolist() == want
+        got = _reduce_mod(x.copy(), p).astype(np.int64).tolist()
+        if p == 2:  # an odd v is a tie: v - 2q for q = v / 2 rounded to even
+            assert got == [v - 2 * round(v / 2) for v in values]
+            assert {r for r, v in zip(got, values) if v % 2} == {-1, 1}
+        else:
+            assert got == [centered(v, p) for v in values]
         # in place on a strided column
         block = np.zeros((x.size, 3))
         block[:, 1] = x
         _reduce_mod(block[:, 1], p)
-        assert block[:, 1].astype(np.int64).tolist() == want
+        assert block[:, 1].astype(np.int64).tolist() == got
         assert not block[:, [0, 2]].any()
 
 
 def test_limbs_split_residues_exactly():
     rng = np.random.default_rng(31)
     for p in RANK_PRIMES:
-        values = [0, 1, (1 << 16) - 1, 1 << 16, p - 1]
-        values += rng.integers(0, p, size=2000).tolist()
+        h = p // 2
+        # residues in (-p, p), as the strips leave them, and limb edges: 2^15
+        # and 3 * 2^15 round to the even hi, 0 and 2, so lo is 2^15 and -2^15
+        values = [0, 1, -1, 1 << 15, 3 << 15, (1 << 16) - 1, h, -h, h + 1, -h - 1,
+                  p - 1, 1 - p, 2**40 + 7]
+        values += rng.integers(1 - p, p, size=2000).tolist()
+        want = [centered(v, p) for v in values]
         f = np.array(values, dtype=np.float64)
-        hi, lo = _limbs(f.copy(), True)
-        assert (hi.astype(np.int64) * (1 << 16) + lo.astype(np.int64)).tolist() == values
-        assert (hi == np.floor(hi)).all() and (lo == np.floor(lo)).all()
-        assert (0 <= lo).all() and (lo < 1 << 16).all()
-        assert (0 <= hi).all() and (hi < 1 << 15).all()
-        assert _limbs(f, False)[0] is f
+        hi, lo = _limbs(f.copy(), p, True)
+        assert (hi.astype(np.int64) * (1 << 16) + lo.astype(np.int64)).tolist() == want
+        assert (hi == np.rint(hi)).all() and (lo == np.rint(lo)).all()
+        assert np.abs(lo).max() == 1 << 15 and np.abs(hi).max() <= 1 << 14
+        if p == DEFAULT_PRIME:  # rint(h / 2^16) = 2^14 is reached
+            assert np.abs(hi).max() == 1 << 14
+        one = f.copy()
+        assert _limbs(one, p, False)[0] is one
+        assert one.astype(np.int64).tolist() == want
 
 
 def test_update_budget_is_the_largest_that_fits():
-    for p in RANK_PRIMES + (3, 65521, LAST_ONE_LIMB_PRIME):
+    for p in RANK_PRIMES + (2, 3, 65521, LAST_ONE_LIMB_PRIME, 11863283, 11863285):
+        h = p // 2
         two_limbs, bound, budget = _update_budget(p)
-        assert two_limbs == (64 * p * p >= 1 << 53)
-        assert bound == (p * (1 << 16) + p if two_limbs else 64 * p * p)
+        assert two_limbs == (64 * h * h >= 1 << 51)
+        assert bound == (h * (1 << 16) + h if two_limbs else 64 * h * h)
         assert budget >= 1
-        assert p + budget * bound < 1 << 53 <= p + (budget + 1) * bound
-    assert not _update_budget(LAST_ONE_LIMB_PRIME)[0]
-    assert _update_budget(DEFAULT_PRIME)[2] == 63 and _update_budget(FAST_PRIME)[2] == 2
+        assert h + budget * bound < 1 << 51 <= h + (budget + 1) * bound
+    # one limb up to 11863283, as with 64 p^2 < 2^53
+    assert not _update_budget(11863283)[0] and _update_budget(11863285)[0]
+    assert [_update_budget(p)[2] for p in RANK_PRIMES + (LAST_ONE_LIMB_PRIME,)] == [2, 31, 31, 1]
 
 
 def exact_product_mod(left, right, p):
@@ -270,6 +297,48 @@ def exact_product_mod(left, right, p):
     high = prod(lh, rh) * ((1 << 32) % p) % p
     mid = (prod(lh, rl) + prod(ll, rh)) * (1 << 16) % p
     return (high + mid + prod(ll, rl)) % p
+
+
+def budget_edge_matrix(p, panels, width, mult, top, start, extra_rows=3, last=5):
+    """Pivot rows with a unit block in the first `width` columns of each of
+    `panels` panels and `top` in the `last` columns, then rows with `mult`
+    in every pivot column and `start` in the last columns.  Elimination
+    keeps the pivot rows as they are, the multipliers are `mult`, and each
+    panel's update subtracts `width` products mult * top from the last
+    columns of the rows below; those rows end up equal, so the rank is the
+    pivot count, plus 1 unless that residual is 0."""
+    pivots = (64 * np.arange(panels)[:, None] + np.arange(width)).ravel()
+    a = np.zeros((pivots.size + extra_rows, 64 * panels + last), dtype=np.int64)
+    a[np.arange(pivots.size), pivots] = 1
+    a[: pivots.size, -last:] = top
+    a[pivots.size :, pivots] = mult
+    a[pivots.size :, -last:] = start
+    residual = (start - pivots.size * mult * top) % p
+    return a % p, pivots.size + (residual != 0)
+
+
+def test_whole_block_reduction_at_the_update_budget(monkeypatch):
+    # every update pushes the last columns of the rows below the same way by
+    # its full bound, so between whole-block reductions they reach exactly
+    # h + budget * bound, the most that keeps `_reduce_mod` exact
+    seen = []
+    reduce_mod = oracle._reduce_mod
+
+    def spy(x, p):
+        seen.append(int(np.abs(x).max(initial=0)))
+        return reduce_mod(x, p)
+
+    monkeypatch.setattr(oracle, "_reduce_mod", spy)
+    for p in RANK_PRIMES + (LAST_ONE_LIMB_PRIME,):
+        two_limbs, bound, budget = _update_budget(p)
+        h = p // 2
+        if two_limbs:  # one pivot per panel; multiplier 2^16 + 1 has limbs 1, 1
+            a, rank = budget_edge_matrix(p, budget + 1, 1, (1 << 16) + 1, h, -h)
+        else:  # 64 pivots per panel: each update adds 64 h^2
+            a, rank = budget_edge_matrix(p, budget + 1, 64, h, -h, h)
+        seen.clear()
+        assert matrix_rank_mod(a, p) == rank, p
+        assert max(seen) == h + budget * bound < 1 << 51, p
 
 
 def rank_by_construction(rng, rows, cols, rank, p, pivots=None):
@@ -309,11 +378,49 @@ def test_multi_panel_ranks_known_by_construction():
         assert matrix_rank_mod(a, p) == 650, p
 
 
+def test_kernel_operands_are_centered(monkeypatch):
+    # every product operand is a centered residue, split into limbs of at
+    # most 2^14 and 2^15, and every reduced value is below 2^51
+    matmul_mod, reduce_mod = oracle._matmul_mod, oracle._reduce_mod
+    checked = {"products": 0, "reductions": 0}
+
+    def matmul_spy(out, limbs, u, p):
+        h = p // 2
+        assert np.abs(u).max(initial=0) <= h
+        bounds = [h] if len(limbs) == 1 else [1 << 14, 1 << 15]
+        assert all(np.abs(f).max(initial=0) <= b for f, b in zip(limbs, bounds))
+        checked["products"] += 1
+        matmul_mod(out, limbs, u, p)
+
+    def reduce_spy(x, p):
+        assert np.abs(x).max(initial=0) < 1 << 51
+        checked["reductions"] += 1
+        return reduce_mod(x, p)
+
+    monkeypatch.setattr(oracle, "_matmul_mod", matmul_spy)
+    monkeypatch.setattr(oracle, "_reduce_mod", reduce_spy)
+    rng = np.random.default_rng(47)
+    for p in RANK_PRIMES + (LAST_ONE_LIMB_PRIME, 7):
+        a = rank_by_construction(rng, 200, 300, 180, p)
+        assert matrix_rank_mod(a, p) == 180, p
+    assert checked["products"] > 0 and checked["reductions"] > 0
+
+
+def test_small_primes_multi_panel_deficient_ranks():
+    # at p = 2 the centered residues are -1, 0 and 1
+    rng = np.random.default_rng(37)
+    for p in (2, 3, 5, 7, 65521):
+        a = rank_by_construction(rng, 90, 140, 60, p)
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 60, p
+        a = random_low_rank(rng, 140, 90, 50, p)
+        assert matrix_rank_mod(a, p) == reference_rank(a, p) <= 50, p
+
+
 def test_rank_past_the_update_budget():
     # one pivot per panel: the pivot of row i sits in column 64 i, so each
-    # panel is one delayed update.  130 of them pass the budget of 63 at
-    # 2^31 - 1 twice; without the whole-block reductions, the entries pass
-    # 2^53 and the rank comes out wrong
+    # panel is one delayed update.  130 of them pass the budget of 31 at
+    # 2^31 - 1 four times; without the whole-block reductions, the entries
+    # pass 2^51 and the rank comes out wrong
     rng = np.random.default_rng(43)
     p, panels = DEFAULT_PRIME, 130
     assert _update_budget(p)[2] < panels
@@ -384,18 +491,19 @@ def test_row_swaps_inside_a_right_half():
 
 
 def test_rank_at_the_exactness_bound_of_a_half():
-    # 32 identity pivot rows over entries p - 1, then rows whose 32
-    # multipliers all have low limb 2^16 - 1: the left half's update of the
-    # right half takes the largest low-limb products of its 32 terms
+    # 32 identity pivot rows over entries h = p // 2, then rows whose 32
+    # multipliers all have lo = 2^15: the left half's update of the right
+    # half takes the largest low-limb products of its 32 terms
     rng = np.random.default_rng(71)
     for p in RANK_PRIMES:
-        extra_rows, extra_cols = 16, 64
+        extra_rows, extra_cols, h = 16, 64, p // 2
         top = np.hstack(
-            [np.eye(32, dtype=np.int64), np.full((32, extra_cols), p - 1, dtype=np.int64)]
+            [np.eye(32, dtype=np.int64), np.full((32, extra_cols), h, dtype=np.int64)]
         )
-        mults = (rng.integers(0, p >> 16, size=(extra_rows, 32)) << 16) | 0xFFFF
-        mults[0, :] = ((p >> 16) << 16) - 1
-        assert (mults < p).all()
+        largest = (h - (1 << 15)) >> 17
+        mults = (rng.integers(0, largest, size=(extra_rows, 32)) << 17) | (1 << 15)
+        mults[0, :] = (largest << 17) | (1 << 15)
+        assert (mults <= h).all()
         tail = (mults.astype(object) @ top[:, 32:].astype(object) % p).astype(np.int64)
         a = np.vstack([top, np.hstack([mults, tail])])
         assert matrix_rank_mod(a, p) == reference_rank(a, p) == 32
@@ -421,8 +529,14 @@ def test_strip_steps_at_the_int64_budget():
             assert matrix_rank_mod(a, p) == reference_rank(a, p) == rank, (p, rows, cols)
             # the strip writes back residues, with no reduction at its end
             m = a.astype(np.float64)
-            assert len(_factor_strip(m, 0, 0, cols, p)[0]) == rank
+            pivots = _factor_strip(m, 0, 0, cols, p)
+            assert len(pivots[0]) == rank
             assert ((0 <= m) & (m < p)).all(), (p, rows, cols)
+            # from centered residues, as the kernel loads it: the same pivots,
+            # and the same residues in (-p, p)
+            c = _reduce_mod(a.astype(np.float64), p)
+            assert _factor_strip(c, 0, 0, cols, p) == pivots
+            assert (np.abs(c) < p).all() and not ((c - m) % p).any(), (p, rows, cols)
 
 
 def test_quadric_through_nine_points_is_special():
@@ -456,20 +570,22 @@ def reference_point_rows(point, mult, d, p):
     return rows, monomials
 
 
-def test_conditions_matrix_matches_per_point_rows():
+def test_conditions_matrix_matches_per_point_rows(monkeypatch):
     rng = np.random.default_rng(17)
     cases = [
         (2, 0, [1, 3, 2]),  # d = 0: only the value rows survive
         (3, 2, [4, 1]),  # m - 1 > d: zero rows for the higher orders
         (2, 4, [2, 1, 2, 3, 1]),  # mixed, interleaved multiplicities
+        (5, 3, [2, 3, 1]),  # halves of 2 and 3 coordinates
+        (6, 3, [3, 2, 1]),  # halves of 3 and 3
     ]
     for _ in range(12):
         n = int(rng.integers(2, 5))
         d = int(rng.integers(0, 6))
         count = int(rng.integers(1, 6))
         cases.append((n, d, [int(rng.integers(1, 5)) for _ in range(count)]))
-    for n, d, mults in cases:
-        p = DEFAULT_PRIME
+    for i, (n, d, mults) in enumerate(cases):
+        p = (DEFAULT_PRIME, 2147483629)[i % 2]
         points = rng.integers(0, p, size=(len(mults), n))
         expected = []
         for point, mult in zip(points.tolist(), mults):
@@ -477,8 +593,55 @@ def test_conditions_matrix_matches_per_point_rows():
             expected.extend(rows)
         exps = _monomial_exponents(n, d)
         assert exps.tolist() == [list(e) for e in monomials]
-        got = _conditions_matrix(exps, points, mults, d, p)
+        got = _conditions_matrix((exps, _column_halves(n, d)), points, mults, d, p)
         assert got.tolist() == expected, (n, d, mults)
+    # the column subsets and points that `_trial_dims` passes, after the frame
+    built = []
+
+    def spy(columns, points, mults, d, p):
+        built.append((columns, points, list(mults), d, p))
+        return _conditions_matrix(columns, points, mults, d, p)
+
+    monkeypatch.setattr(oracle, "_conditions_matrix", spy)
+    framed = [
+        (2, 7, [3, 2, 2, 4, 1, 2], DEFAULT_PRIME),
+        (3, 5, [2, 1, 3, 1, 2, 2, 1], 2147483629),
+        (5, 4, [2, 1, 1, 2, 1, 1, 2, 1], DEFAULT_PRIME),
+        (6, 3, [1] * 7 + [2, 2], 2147483629),
+        # tall, as the 7-point P^4 merge premise: the frame leaves 101
+        # columns, and the two other points give 420 rows
+        (4, 10, [7] * 7, 2147483629),
+    ]
+    for n, d, mults, p in framed:
+        built.clear()
+        linear_system_dim(n, d, mults, OracleConfig(prime=p, trials=1, seed=n))
+        [(columns, points, rest, _, _)] = built
+        exps = columns[0]
+        expected = []
+        for point, mult in zip(points.tolist(), rest):
+            rows, monomials = reference_point_rows(point, mult, d, p)
+            expected.extend(rows)
+        column = {tuple(e): j for j, e in enumerate(monomials)}
+        kept = [column[tuple(e)] for e in exps.tolist()]
+        assert 0 < len(kept) < len(monomials)
+        got = _conditions_matrix(columns, points, rest, d, p)
+        assert got.tolist() == [[row[j] for j in kept] for row in expected], (n, d, mults)
+    assert got.shape == (420, 101)
+
+
+def test_distinct_rows_ranks_wide_and_empty_matrices():
+    # 70 binary columns, whose mixed-radix keys would reach 2^70; rows 0 and
+    # 1 differ in column 0 alone
+    rng = np.random.default_rng(73)
+    a = rng.integers(0, 2, size=(40, 70))
+    a[1] = a[0]
+    a[1, 0] = 1 - a[0, 0]
+    a = np.vstack([a, a[::3]])
+    for b in (a, 3 * a[:, :1], a[:0]):
+        u, index = _distinct_rows(b)
+        assert (u[index] == b).all() and u.shape[1] == b.shape[1]
+        assert len(u) == len({tuple(row) for row in b.tolist()})
+    assert len(_distinct_rows(a)[0]) == 40
 
 
 def test_rank_of_structured_matrices():
@@ -515,25 +678,25 @@ def framefree_dims(n, d, mults, config):
     """Per-trial dimensions with every point sampled at random: the rows of
     all points over all monomials, and their rank."""
     active = [m for m in mults if m > 0]
-    exps = _monomial_exponents(n, d)
+    columns = _monomial_exponents(n, d), _column_halves(n, d)
     dims = []
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
         rank = 0
         if active:
             points = rng.integers(0, config.prime, size=(len(active), n))
-            matrix = _conditions_matrix(exps, points, active, d, config.prime)
+            matrix = _conditions_matrix(columns, points, active, d, config.prime)
             rank = matrix_rank_mod(matrix, config.prime)
-        dims.append(exps.shape[0] - rank)
+        dims.append(columns[0].shape[0] - rank)
     return tuple(dims)
 
 
 def test_frame_matches_a_framefree_reference(monkeypatch):
     sampled = []
 
-    def spy(exps, points, mults, d, p):
+    def spy(columns, points, mults, d, p):
         sampled.append(list(mults))
-        return _conditions_matrix(exps, points, mults, d, p)
+        return _conditions_matrix(columns, points, mults, d, p)
 
     monkeypatch.setattr(oracle, "_conditions_matrix", spy)
     cases = [
