@@ -228,13 +228,13 @@ def build_parser() -> _Parser:
     p = add("verify", _cmd_verify, help="verify a certificate file ('-' for stdin)")
     p.add_argument("--cert", required=True)
 
-    for name, func, check in (
-        ("bound", _cmd_bound, None),
-        ("hh-check", _cmd_check, "hh"),
-        ("chudnovsky", _cmd_check, "chudnovsky"),
-        ("threshold", _cmd_threshold, None),
+    for name, func, check, text in (
+        ("bound", _cmd_bound, None, "best Waldschmidt lower bound with its derivation"),
+        ("hh-check", _cmd_check, "hh", "stable Harbourne-Huneke criterion, bound > (reg+n-1)/n"),
+        ("chudnovsky", _cmd_check, "chudnovsky", "Chudnovsky's criterion, bound >= (alpha+n-1)/n"),
+        ("threshold", _cmd_threshold, None, "stable containment threshold r from the bound"),
     ):
-        p = add(name, func)
+        p = add(name, func, help=text)
         p.set_defaults(check=check)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--points", type=int, required=True)

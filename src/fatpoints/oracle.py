@@ -33,7 +33,8 @@ the powers below m are on record at s when m is asked.
 Rows: each entry is a product over the coordinates, so a point's rows are
 built from one small table per half of the coordinates, and an entry is one
 product of two table entries mod p.  Which table entry a row and a column
-read depends only on (n, d, frame) and (n, m, d), and is cached.
+read depends only on (n, d, frame) and (n, m, d), and is cached.  Rows are
+built as exact float64 residues, and the rank kernel eliminates them in place.
 
 Rank is exact Gaussian elimination over F_p for any prime p < 2^31, in one
 blocked kernel.  Each 64-column panel is factored recursively, in the manner
@@ -132,13 +133,6 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # exact rank over F_p
-
-
-def matrix_rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer matrix, for a prime p < 2^31."""
-    if not 2 <= p < _PRIME_LIMIT:
-        raise OracleError(f"rank needs a prime below 2^31, got {p}")
-    return _rank_float_panels(a, p) if a.size else 0
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -387,20 +381,21 @@ class _Panel:
             _matmul_mod(m[self.r0 + k1 :, c0:c1], lower, top, p)
 
 
-def _rank_float_panels(a: np.ndarray, p: int) -> int:
-    """Blocked elimination: recursive panel factorization, float64 BLAS
-    updates with delayed reduction.
+def matrix_rank_mod(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of an integer matrix, for a prime p < 2^31.  A float64
+    matrix is eliminated in place (overwritten), and must hold integers: an
+    entry of 2^51 or more in magnitude raises OracleError, a fraction is not
+    checked.  Other dtypes are copied by `np.remainder` and left unchanged.
 
-    Invariant: every entry of m is an integer below 2^51 in magnitude, and
-    every product operand a centered residue in [-h, h], h = p//2; the input
-    is centered after `np.remainder`.  An entry of the trailing block, after
-    k updates since its last reduction, is at most h + k * bound in
-    magnitude.  Reduction happens only where a residue is needed: the next
-    panel's columns before it is factored, the pivot rows before they are an
-    operand, and the whole trailing block once k reaches the budget of
-    `_update_budget`, so h + k * bound < 2^51 always holds.  `pending`
-    counts the updates since the whole block was last reduced (or since the
-    start); at 0 nothing needs reducing.
+    That bound is the kernel's invariant: every entry of m stays an integer
+    below 2^51 in magnitude, and every product operand is a centered residue
+    in [-h, h], h = p//2, the input centered first.  A trailing entry, k
+    updates after its last reduction, is at most h + k * bound.  Reduction
+    happens only where a residue is needed: the next panel's columns before
+    it is factored, the pivot rows before they are an operand, and the whole
+    trailing block once k reaches the budget of `_update_budget`, so
+    h + k * bound < 2^51 always holds.  `pending` counts the updates since
+    the last whole-block reduction (or the start).
 
     `_Panel.factor` factors each panel of _PANEL columns in residues, and
     `_Panel.update` applies its pivots to the trailing columns: the update
@@ -413,9 +408,14 @@ def _rank_float_panels(a: np.ndarray, p: int) -> int:
     mod p, so every pivot, swap and multiplier is that of a column-by-column
     sweep.
     """
+    if not 2 <= p < _PRIME_LIMIT:
+        raise OracleError(f"rank needs a prime below 2^31, got {p}")
     two_limbs, _, budget = _update_budget(p)
-    m = np.empty(a.shape, dtype=np.float64)
-    np.remainder(a, p, out=m)
+    m = a
+    if a.dtype != np.float64:
+        m = np.remainder(a, p, out=np.empty(a.shape))
+    elif not -(1 << 51) < a.min(initial=0) <= a.max(initial=0) < 1 << 51:  # a NaN fails too
+        raise OracleError("a float64 matrix must hold integers below 2^51 in magnitude")
     _reduce_cols(m, p)
     rows, cols = m.shape
     rank = col = pending = 0
@@ -520,9 +520,9 @@ def _conditions_matrix(
     columns: tuple[np.ndarray, list], points: np.ndarray, mults: Sequence[int], d: int, p: int
 ) -> np.ndarray:
     """Point by point, the rows of the order-< m derivative functionals in
-    lex order of the order beta, on the monomials `exps` of `columns`, with
-    their half maps as `_column_halves` gives them (or a subset of those
-    maps' rows); rows with |beta| > d stay zero.
+    lex order of the order beta, as float64 residues in [0, p), on the
+    monomials `exps` of `columns` and their `_column_halves` maps (or a
+    subset of those maps' rows); rows with |beta| > d stay zero.
 
     The entry of row beta and column e at point x is a product over the
     coordinates, prod_j ff[beta_j, e_j] x_j^(e_j - beta_j) mod p (zero where
@@ -535,7 +535,7 @@ def _conditions_matrix(
     count, n = points.shape
     sizes = [binomial(m - 1 + n, n) for m in mults]
     starts = np.cumsum([0] + sizes[:-1])
-    out = np.zeros((sum(sizes), exps.shape[0]), dtype=np.int64)
+    out = np.zeros((sum(sizes), exps.shape[0]))
     pows = np.ones((count, n, d + 1), dtype=np.int64)
     for t in range(1, d + 1):
         pows[:, :, t] = pows[:, :, t - 1] * points % p

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -509,6 +510,16 @@ def test_usage_errors_exit_64():
     # an empty block, as after a trailing ';', is skipped
     argv = ["prove-empty", "--n", "4", "--degree", "8,-1", "--mults"]
     assert invoke(argv + ["5,0:8;"]) == invoke(argv + ["5,0:8"])
+
+
+def test_every_subcommand_has_a_help_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "120")  # each help text on its command's line
+    code, out, _ = invoke(["--help"])
+    assert code == 0
+    commands = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+    assert {"bound", "hh-check", "chudnovsky", "threshold"} < set(commands)
+    for name in commands:
+        assert re.search(rf"^    {name} +\S", out, re.M), name
 
 
 def test_byte_identical_reruns():

@@ -1,6 +1,7 @@
 """Monte Carlo dimension oracle: classical systems, rank kernels, configs."""
 
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -174,6 +175,18 @@ def random_low_rank(rng, rows, cols, inner, p):
     return (left @ right % p).astype(np.int64)
 
 
+def assert_rank_contract(a, p, rank):
+    """matrix_rank_mod leaves an int64 matrix as it is, and eliminates a
+    float64 one in place, in [0, p) or centered, to the same rank."""
+    before = a.copy()
+    assert matrix_rank_mod(a, p) == rank
+    assert a.dtype == np.int64 and (a == before).all()
+    for f in (a.astype(np.float64), _reduce_mod(a.astype(np.float64), p)):
+        given = f.copy()
+        assert matrix_rank_mod(f, p) == rank
+        assert (f != given).any()
+
+
 def test_rank_kernels_agree():
     rng = np.random.default_rng(5)
     for p in RANK_PRIMES:
@@ -182,10 +195,28 @@ def test_rank_kernels_agree():
             cols = int(rng.integers(3, 140))
             inner = int(rng.integers(1, min(rows, cols) + 1))
             a = random_low_rank(rng, rows, cols, inner, p)
-            assert matrix_rank_mod(a, p) == reference_rank(a, p) <= inner
+            rank = reference_rank(a, p)
+            assert rank <= inner
+            assert_rank_contract(a, p, rank)
         # several panels with pivots and several trailing-update column chunks
         a = random_low_rank(rng, 110, 600, 90, p)
-        assert matrix_rank_mod(a, p) == reference_rank(a, p) == 90
+        assert reference_rank(a, p) == 90
+        assert_rank_contract(a, p, 90)
+
+
+def test_float64_rank_input_is_bounded():
+    # float64 input is eliminated as it is, so it must be exact integers
+    # below 2^51: the edge itself ranks, one past it or a NaN raises
+    top = (1 << 51) - 1
+    a = np.array([[top, 1, 0], [1, -top, 3]], dtype=np.int64)
+    for p in RANK_PRIMES:
+        assert matrix_rank_mod(a.astype(np.float64), p) == reference_rank(a, p) == 2
+    for bad in (2.0**51, -(2.0**51), np.nan):
+        f = a.astype(np.float64)
+        f[1, 2] = bad
+        with pytest.raises(OracleError, match="2\\^51"):
+            matrix_rank_mod(f, FAST_PRIME)
+    assert matrix_rank_mod(np.zeros((0, 4)), FAST_PRIME) == 0
 
 
 def test_rank_at_the_float64_exactness_bound():
@@ -594,7 +625,7 @@ def test_conditions_matrix_matches_per_point_rows(monkeypatch):
         exps = _monomial_exponents(n, d)
         assert exps.tolist() == [list(e) for e in monomials]
         got = _conditions_matrix((exps, _column_halves(n, d)), points, mults, d, p)
-        assert got.tolist() == expected, (n, d, mults)
+        assert got.dtype == np.float64 and got.tolist() == expected, (n, d, mults)
     # the column subsets and points that `_trial_dims` passes, after the frame
     built = []
 
@@ -625,8 +656,39 @@ def test_conditions_matrix_matches_per_point_rows(monkeypatch):
         kept = [column[tuple(e)] for e in exps.tolist()]
         assert 0 < len(kept) < len(monomials)
         got = _conditions_matrix(columns, points, rest, d, p)
-        assert got.tolist() == [[row[j] for j in kept] for row in expected], (n, d, mults)
+        want = [[row[j] for j in kept] for row in expected]
+        assert got.dtype == np.float64 and got.tolist() == want, (n, d, mults)
     assert got.shape == (420, 101)
+
+
+def test_one_resident_matrix_during_rank(monkeypatch):
+    # the kernel eliminates the float64 rows it is given, so one trial of a
+    # tall system holds one matrix plus temporaries; with an int64 matrix
+    # and a float64 copy, two are resident during rank
+    matrices = []
+
+    def rank(a, p):
+        matrices.append((a.shape, a.dtype, a.nbytes))
+        return matrix_rank_mod(a, p)
+
+    monkeypatch.setattr(oracle, "matrix_rank_mod", rank)
+    config = OracleConfig(prime=FAST_PRIME, trials=1, seed=1)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = linear_system_dim(3, 14, [6] * 110, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert report.dimension == 0
+    [(shape, dtype, nbytes)] = matrices
+    assert shape == (5936, 456)
+    assert peak < 2 * nbytes, peak / nbytes
+    assert dtype == np.float64
 
 
 def test_distinct_rows_ranks_wide_and_empty_matrices():
